@@ -15,8 +15,9 @@
 //    requests served at the 10% rate), with every degraded/failed request
 //    carrying a complete DegradationTrace;
 //  * recovery stays on the books: backoff cycles appear in the ledger under
-//    "backoff" and ride the timeline, so Sigma exposed == makespan and
-//    Sigma batch cycles == ledger total keep holding under recovery;
+//    "backoff" and ride the timeline, so the accounting identities
+//    (serve/invariants.h: Sigma exposed == makespan, Sigma batch cycles ==
+//    ledger total, ...) keep holding under recovery;
 //  * the schedule keys on trace position alone, so serial and pipelined
 //    runs produce identical predictions and outcomes;
 //  * a zero-rate schedule is byte-identical to the fault-free server (the
@@ -26,6 +27,7 @@
 
 #include "common.h"
 #include "gen/requests.h"
+#include "serve/invariants.h"
 #include "serve/server.h"
 
 namespace {
@@ -63,18 +65,6 @@ std::string chaos_config(const char* site, double rate, bool pipelined) {
   return buf;
 }
 
-bool exposed_sums_to_makespan(const gnnone::ServingReport& r) {
-  return r.sample_split.exposed + r.gather_split.exposed +
-             r.forward_split.exposed ==
-         r.total_cycles;
-}
-
-bool batches_sum_to_ledger(const gnnone::ServingReport& r) {
-  std::uint64_t sum = 0;
-  for (const gnnone::BatchStats& b : r.batches) sum += b.cycles;
-  return sum == r.ledger.total() &&
-         r.ledger.by_tag("backoff") == r.backoff_cycles;
-}
 
 /// Full-fidelity requests must match the fault-free predictions bit for
 /// bit; degraded/failed ones must carry their trace. Returns false on any
@@ -187,8 +177,10 @@ GNNONE_BENCH(chaos, 270,
         no_leaks = no_leaks && server.device_memory().in_use() ==
                                    server.cache().device_bytes();
         contained = contained && outcomes_contained(rep, clean[p]);
-        books_balance = books_balance && exposed_sums_to_makespan(rep) &&
-                        batches_sum_to_ledger(rep);
+        books_balance =
+            books_balance &&
+            gnnone::serve::check_invariants(rep, server).empty() &&
+            rep.ledger.by_tag("backoff") == rep.backoff_cycles;
         // Any contained fault walks the retry rung first, so recovery
         // always leaves a backoff trail in the ledger.
         backoff_attributed = backoff_attributed &&

@@ -23,6 +23,7 @@
 
 #include "common.h"
 #include "gen/requests.h"
+#include "serve/invariants.h"
 #include "serve/server.h"
 
 namespace {
@@ -42,13 +43,6 @@ std::string pipe_config(const char* fan, double alpha) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "fan=%s;alpha=%.2f", fan, alpha);
   return buf;
-}
-
-/// Every stage's exposed cycles must tile the timeline exactly.
-bool exposed_sums_to_makespan(const gnnone::ServingReport& r) {
-  return r.sample_split.exposed + r.gather_split.exposed +
-             r.forward_split.exposed ==
-         r.total_cycles;
 }
 
 }  // namespace
@@ -246,8 +240,10 @@ GNNONE_BENCH(serving, 260,
         saving_bounded =
             saving_bounded && saving <= rp.sample_cycles + rp.gather_cycles;
         preds_match = preds_match && rp.predictions == rs.predictions;
-        exposed_sums = exposed_sums && exposed_sums_to_makespan(rs) &&
-                       exposed_sums_to_makespan(rp);
+        exposed_sums =
+            exposed_sums &&
+            gnnone::serve::check_invariants(rs, serial_server).empty() &&
+            gnnone::serve::check_invariants(rp, pipe_server).empty();
         if (rp.total_cycles < rs.total_cycles) ++strictly_faster;
         speedups.push_back(double(rs.total_cycles) /
                            double(rp.total_cycles));
@@ -292,7 +288,8 @@ GNNONE_BENCH(serving, 260,
   h.expect("serving.pipeline_predictions_match", preds_match,
            "pipelined predictions must be bit-identical to serial");
   h.expect("serving.pipeline_exposed_sums_to_makespan", exposed_sums,
-           "per-stage exposed cycles must sum to total_cycles");
+           "serve::check_invariants (exposed cycles tile total_cycles, "
+           "bytes and cycles conserved) must hold serial and pipelined");
   const int need_faster = h.ci() ? 1 : 3;
   h.expect("serving.pipeline_strictly_faster",
            strictly_faster >= need_faster,

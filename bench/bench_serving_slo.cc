@@ -21,8 +21,9 @@
 //    exists to fix;
 //  * deadline-aware scheduling strictly beats FIFO's attainment on >= 3
 //    full-scale points (>= 1 at ci) — the win is real, not a tie;
-//  * queue-wait accounting tiles the timeline: per-stream exposed cycles
-//    plus scheduler-induced idle equal the makespan exactly, and every
+//  * queue-wait accounting tiles the timeline: the accounting identities
+//    hold (serve/invariants.h — per-stream exposed cycles plus
+//    scheduler-induced idle equal the makespan exactly), and every
 //    request's arrival + queue + service lands inside it.
 //
 // ci rows are an exact subset of the full sweep (same traces, same
@@ -34,6 +35,7 @@
 
 #include "common.h"
 #include "gen/requests.h"
+#include "serve/invariants.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
 
@@ -184,15 +186,13 @@ double aggregate_attainment(const gnnone::ServingReport& rep) {
   return admitted > 0 ? in_slo / double(admitted) : 1.0;
 }
 
-/// Per-stream exposed + scheduler idle must tile the makespan, and every
-/// request's arrival + queue + service must land inside it.
+/// The accounting identities (exposed + scheduler idle tiles the makespan,
+/// among others) hold, and every request's arrival + queue + service lands
+/// inside the makespan.
 bool attribution_tiles(const std::vector<gnnone::SeedRequest>& trace,
+                       const gnnone::InferenceServer& server,
                        const gnnone::ServingReport& rep) {
-  if (rep.sample_split.exposed + rep.gather_split.exposed +
-          rep.forward_split.exposed + rep.idle_cycles !=
-      rep.total_cycles) {
-    return false;
-  }
+  if (!gnnone::serve::check_invariants(rep, server).empty()) return false;
   for (std::size_t r = 0; r < trace.size(); ++r) {
     const gnnone::serve::RequestOutcome& o = rep.outcomes[r];
     if (o.status == gnnone::serve::Status::kRejected) continue;
@@ -289,7 +289,7 @@ GNNONE_BENCH(serving_slo, 261,
         p99s.push_back(p99);
         attains.push_back(attain);
         attain_by_policy[p].push_back(attain);
-        tiles = tiles && attribution_tiles(trace, rep);
+        tiles = tiles && attribution_tiles(trace, server, rep);
 
         const std::string cfg = point_config(mix, load, pname);
         h.add_cycles(mix.graph, "slo_makespan", kFeatureDim, rep.total_cycles,

@@ -8,18 +8,21 @@
 // Encoded claims:
 //  * predictions are bit-identical to the unsharded server at every shard
 //    count and role assignment (gcn — row/component-local compute);
-//  * one symmetric shard with dilation 1.0 IS the unsharded serial driver:
-//    identical makespan, identical ledger total;
-//  * the per-device timelines tile exactly — Σ exposed + idle == makespan on
-//    every device — and gather bytes are conserved: local hit + local miss +
-//    remote hit + remote miss bytes == Σ unique gathered vertices x row
-//    bytes;
+//  * one symmetric shard with dilation 1.0 IS unsharded serving: identical
+//    makespan, identical ledger total;
+//  * every serve satisfies the accounting identities (serve/invariants.h):
+//    Σ exposed + idle == makespan on every device, gather byte conservation,
+//    Σ batch cycles == ledger total, outcome tiling;
 //  * factoring roles beats N symmetric devices on the sampling-heavy end of
 //    the sweep (deep fanouts, narrow features — strictly, on >= 3 points),
 //    for two compounding reasons: dedicated devices dodge the colocation
 //    dilation entirely, and the sampler->forward round-robin rebalances
 //    work that seed-ownership routing distributes unevenly across
 //    symmetric devices;
+//  * sharding composes with pipelining and tenants: pipelined symmetric
+//    devices each run the single-device pipeline over their own batches, so
+//    pipelined <= serial on every symmetric point, and a two-tenant EDF mix
+//    on 2 symmetric devices keeps the unsharded scheduled predictions;
 //  * overload + admission control (SchedulerOptions::max_queue_depth) on the
 //    scheduled path: the backlog stays at or under the bound, sheds are > 0,
 //    and rejected + served + degraded + failed tiles the trace exactly.
@@ -27,10 +30,12 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common.h"
 #include "gen/requests.h"
+#include "serve/invariants.h"
 #include "serve/server.h"
 
 namespace {
@@ -48,23 +53,24 @@ std::string shard_config(const char* mix, const char* layout) {
   return std::string("mix=") + mix + ";layout=" + layout;
 }
 
-/// Per-device tiling: Σ exposed + idle == makespan, exactly, per device.
-bool devices_tile(const gnnone::ServingReport& rep) {
-  for (const gnnone::serve::DeviceShardReport& d : rep.devices) {
-    if (d.exposed_cycles + d.idle_cycles != d.makespan) return false;
-  }
-  return true;
+/// Serves `trace` and records the first accounting-identity violation of
+/// the run into *violation (left as is when the report is consistent).
+gnnone::ServingReport checked_serve(
+    const gnnone::Dataset& ds, const gpusim::DeviceSpec& dev,
+    const gnnone::ServeOptions& o,
+    const std::vector<gnnone::SeedRequest>& trace, std::string* violation) {
+  const gnnone::InferenceServer server(ds, dev, o);
+  gnnone::ServingReport rep = server.serve(trace);
+  const std::vector<std::string> v =
+      gnnone::serve::check_invariants(rep, server);
+  if (!v.empty() && violation->empty()) *violation = v.front();
+  return rep;
 }
 
-/// Gather byte conservation over the whole run (header comment).
-bool bytes_conserved(const gnnone::ServingReport& rep, std::size_t row_bytes) {
-  std::size_t expect = 0;
-  for (const gnnone::BatchStats& b : rep.batches) {
-    expect += std::size_t(b.num_unique_vertices) * row_bytes;
-  }
-  const std::size_t got = rep.cache_hit_bytes + rep.cache_miss_bytes +
-                          rep.remote_hit_bytes + rep.remote_miss_bytes;
-  return got == expect;
+gnnone::serve::ShardOptions symmetric(int devices) {
+  gnnone::serve::ShardOptions s;
+  s.num_devices = devices;
+  return s;
 }
 
 /// The factored role assignment for a given sampler count: the first
@@ -122,8 +128,8 @@ GNNONE_BENCH(sharded, 263,
 
   bool preds_invariant = true;
   bool identity_exact = true;
-  bool tiles = true;
-  bool conserved = true;
+  bool pipelined_never_slower = true;
+  std::string violation;
   int factored_wins = 0, heavy_points = 0;
   std::vector<double> win_ratios;
 
@@ -137,50 +143,53 @@ GNNONE_BENCH(sharded, 263,
     base.backend = gnnone::Backend::kGnnOne;
     base.seed = 9;
 
-    const gnnone::InferenceServer flat(ds, dev, base);
-    const gnnone::ServingReport flat_rep = flat.serve(trace);
-    const std::size_t row_bytes = std::size_t(mix.dim) * 4;
+    const gnnone::ServingReport flat_rep =
+        checked_serve(ds, dev, base, trace, &violation);
 
-    // One symmetric shard with no dilation IS the unsharded serial driver.
+    // One symmetric shard with no dilation IS unsharded serving.
     {
       gnnone::ServeOptions o = base;
       o.shard.num_devices = 1;
       o.shard.colocation_dilation = 1.0;
-      const gnnone::InferenceServer one(ds, dev, o);
-      const gnnone::ServingReport rep = one.serve(trace);
+      const gnnone::ServingReport rep =
+          checked_serve(ds, dev, o, trace, &violation);
       identity_exact = identity_exact &&
                        rep.total_cycles == flat_rep.total_cycles &&
                        rep.ledger.total() == flat_rep.ledger.total() &&
                        rep.predictions == flat_rep.predictions;
     }
 
-    // Symmetric N devices vs every factored split.
+    // Symmetric N devices vs every factored split, then the symmetric and
+    // 2s+2f layouts pipelined.
     std::uint64_t sym_cycles = 0, best_factored = 0;
     std::vector<std::uint64_t> cycles_by_layout;
-    const std::vector<std::pair<const char*, gnnone::serve::ShardOptions>>
-        layouts = {{"sym", [] {
-                      gnnone::serve::ShardOptions s;
-                      s.num_devices = kNumDevices;
-                      return s;
-                    }()},
-                   {"3s1f", factored(3)},
-                   {"2s2f", factored(2)},
-                   {"1s3f", factored(1)}};
-    for (const auto& [name, shard] : layouts) {
+    using Layout = std::tuple<const char*, gnnone::serve::ShardOptions, bool>;
+    const std::vector<Layout> layouts = {
+        {"sym", symmetric(kNumDevices), false},
+        {"3s1f", factored(3), false},
+        {"2s2f", factored(2), false},
+        {"1s3f", factored(1), false},
+        {"sym_pipelined", symmetric(kNumDevices), true},
+        {"2s2f_pipelined", factored(2), true}};
+    for (const auto& [name, shard, pipeline] : layouts) {
       gnnone::ServeOptions o = base;
       o.shard = shard;
-      const gnnone::InferenceServer server(ds, dev, o);
-      const gnnone::ServingReport rep = server.serve(trace);
-
+      o.pipeline = pipeline;
+      const gnnone::ServingReport rep =
+          checked_serve(ds, dev, o, trace, &violation);
       preds_invariant = preds_invariant &&
                         rep.predictions == flat_rep.predictions;
-      tiles = tiles && devices_tile(rep);
-      conserved = conserved && bytes_conserved(rep, row_bytes);
-
       h.add_cycles("G4", "shard_makespan", mix.dim, rep.total_cycles,
                    shard_config(mix.id, name));
+      if (pipeline) {
+        if (shard.roles.empty()) {
+          pipelined_never_slower =
+              pipelined_never_slower && rep.total_cycles <= sym_cycles;
+        }
+        continue;
+      }
       cycles_by_layout.push_back(rep.total_cycles);
-      if (std::string(name) == "sym") {
+      if (shard.roles.empty()) {
         sym_cycles = rep.total_cycles;
       } else {
         best_factored = best_factored == 0
@@ -204,14 +213,59 @@ GNNONE_BENCH(sharded, 263,
     }
   }
 
+  // --- a two-tenant EDF mix on 2 symmetric devices -----------------------
+  // Each device schedules the requests routed to it on its own decision
+  // clock; predictions stay those of the unsharded scheduled server.
+  {
+    gnnone::TenantWorkload w0;
+    w0.requests.num_requests = 32;
+    w0.requests.max_seeds = 2;
+    w0.requests.hot_fraction = 0.0;
+    w0.requests.seed = 41;
+    w0.arrivals.mean_interarrival_cycles = 20000.0;
+    w0.arrivals.seed = 41;
+    gnnone::TenantWorkload w1 = w0;
+    w1.requests.seed = 42;
+    w1.arrivals.process = gnnone::ArrivalProcess::kBursty;
+    w1.arrivals.seed = 42;
+    const auto mix_trace = gnnone::make_open_loop_trace(ds.coo, {w0, w1});
+
+    gnnone::ServeOptions o;
+    o.batch_size = 8;
+    o.cache_alpha = 0.1;
+    o.feature_dim_override = 32;
+    o.backend = gnnone::Backend::kGnnOne;
+    o.seed = 9;
+    o.tenants = {{"interactive", "gcn", {10, 5}, 400'000, 0.0},
+                 {"batchy", "gat", {10, 5}, 2'000'000, 0.0}};
+    o.scheduler.policy = gnnone::serve::SchedulerPolicy::kEdf;
+    const gnnone::ServingReport flat_rep =
+        checked_serve(ds, dev, o, mix_trace, &violation);
+    o.shard = symmetric(2);
+    const gnnone::ServingReport rep =
+        checked_serve(ds, dev, o, mix_trace, &violation);
+    preds_invariant = preds_invariant &&
+                      rep.predictions == flat_rep.predictions &&
+                      rep.served_requests() == rep.num_requests;
+    h.add_cycles("G4", "shard_tenant_makespan", 32, rep.total_cycles,
+                 "policy=edf;layout=sym2");
+    std::uint64_t worst_p99 = 0;
+    for (const gnnone::serve::TenantReport& t : rep.tenants) {
+      worst_p99 = std::max(worst_p99, t.p99_latency_cycles);
+    }
+    std::printf("two-tenant EDF on 2 symmetric devices: makespan %llu "
+                "(unsharded %llu), worst tenant p99 %llu\n",
+                (unsigned long long)rep.total_cycles,
+                (unsigned long long)flat_rep.total_cycles,
+                (unsigned long long)worst_p99);
+  }
+
   h.expect("sharded.predictions_invariant", preds_invariant,
            "sharded predictions differ from the unsharded server");
   h.expect("sharded.one_shard_is_unsharded", identity_exact,
            "1 symmetric shard at dilation 1.0 != the unsharded serial run");
-  h.expect("sharded.devices_tile_exactly", tiles,
-           "some device's exposed + idle != makespan");
-  h.expect("sharded.gather_bytes_conserved", conserved,
-           "hit+miss+remote bytes != unique vertices x row bytes");
+  h.expect("sharded.pipelined_symmetric_never_slower", pipelined_never_slower,
+           "a pipelined symmetric layout took longer than its serial run");
   h.expect("sharded.factored_wins_sampling_heavy",
            factored_wins == heavy_points && heavy_points >= (h.ci() ? 1 : 3),
            "factored roles lost a sampling-heavy point to symmetric");
@@ -259,8 +313,8 @@ GNNONE_BENCH(sharded, 263,
     for (const auto& [name, depth] : runs) {
       gnnone::ServeOptions oo = o;
       oo.scheduler.max_queue_depth = depth;
-      const gnnone::InferenceServer server(ds, dev, oo);
-      const gnnone::ServingReport rep = server.serve(open_trace);
+      const gnnone::ServingReport rep =
+          checked_serve(ds, dev, oo, open_trace, &violation);
       h.add_cycles("G4", "shard_admission_makespan", 32, rep.total_cycles,
                    std::string("queue=") + name);
       tiling = tiling &&
@@ -287,5 +341,8 @@ GNNONE_BENCH(sharded, 263,
     h.expect("sharded.admission_accounting_tiles", tiling,
              "served + rejected + failed != trace size under admission");
   }
+  h.expect("sharded.invariants_hold", violation.empty(),
+           violation.empty() ? "every serve satisfies serve::check_invariants"
+                             : violation);
   return 0;
 }

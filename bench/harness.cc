@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <set>
 
 #include "gen/datasets.h"
-#include "gpusim/report.h"
-#include "gpusim/trace.h"
 #include "util/stats.h"
 
 namespace bench {
@@ -306,27 +302,7 @@ std::vector<BenchInfo> registered_benches() {
   return out;
 }
 
-// --- standalone driver ----------------------------------------------------
-
-namespace {
-
-bool write_file(const std::string& path, const std::string& content) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
+// --- command-line helpers --------------------------------------------------
 
 bool parse_scale(const char* s, Scale* out) {
   if (std::strcmp(s, "full") == 0) {
@@ -347,78 +323,6 @@ void print_expectations(const Harness& h) {
     std::printf("  [%s] %-40s %s\n", e.ok ? "ok" : "FAIL", e.id.c_str(),
                 e.detail.c_str());
   }
-}
-
-int run_standalone(const BenchInfo& info, int argc, char** argv) {
-  Scale scale = Scale::kFull;
-  std::string out_dir = ".";
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--scale=", 8) == 0) {
-      if (!parse_scale(a + 8, &scale)) {
-        std::fprintf(stderr, "error: bad --scale '%s' (full|ci)\n", a + 8);
-        return 2;
-      }
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      out_dir = a + 6;
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      trace_path = a + 8;
-    } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-      std::printf(
-          "usage: %s [--scale=full|ci] [--out=DIR|-] [--trace=PATH]\n"
-          "  %s\n  reproduces: %s\n",
-          info.name, info.title, info.paper_ref);
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown flag '%s' (see --help)\n", a);
-      return 2;
-    }
-  }
-
-  Harness h(info.name, info.title, info.paper_ref, scale);
-  std::printf(
-      "\n================================================================\n"
-      "%s\nreproduces: %s\n"
-      "================================================================\n",
-      info.title, info.paper_ref);
-
-  int rc;
-  {
-    gpusim::Trace trace;  // active for the whole bench body
-    rc = info.fn(h);
-    if (!trace_path.empty()) {
-      const std::string json =
-          gpusim::chrome_trace_json(trace, gpusim::default_device());
-      if (write_file(trace_path, json)) {
-        std::printf("\ntrace: %zu kernel launches -> %s\n",
-                    trace.events().size(), trace_path.c_str());
-      } else {
-        rc = rc ? rc : 3;
-      }
-    }
-  }
-
-  print_expectations(h);
-  const int failed = h.failed_expectations();
-  if (failed > 0) {
-    std::printf("\n%d paper-shape expectation(s) FAILED\n", failed);
-  }
-
-  if (out_dir != "-") {
-    const std::string base = out_dir.empty() ? std::string(".") : out_dir;
-    const Json doc =
-        results_doc({&h}, scale, gpusim::default_device());
-    if (!write_file(base + "/BENCH_RESULTS.json", doc.dump() + "\n")) {
-      return 3;
-    }
-    if (!write_file(base + "/" + h.name() + ".csv", h.to_csv())) return 3;
-    std::printf("results: %s/BENCH_RESULTS.json, %s/%s.csv\n", base.c_str(),
-                base.c_str(), h.name().c_str());
-  }
-
-  if (rc != 0) return rc;
-  return failed > 0 ? 1 : 0;
 }
 
 }  // namespace bench

@@ -1,5 +1,4 @@
-// bench::Harness — the machine-readable result sink behind every bench
-// binary.
+// bench::Harness — the machine-readable result sink behind every bench.
 //
 // Each bench registers itself with GNNONE_BENCH(...) and receives a Harness.
 // While the bench keeps printing its human-readable stdout tables, every
@@ -9,8 +8,8 @@
 // one), and every paper-shape claim from DESIGN.md §3 as an Expectation.
 //
 // The harness then emits:
-//  * a versioned BENCH_RESULTS.json (schema below) — one document whether a
-//    single binary ran standalone or bench_runner ran the whole suite;
+//  * a versioned BENCH_RESULTS.json (schema below) — one document whether
+//    bench_runner ran the whole suite or an --only subset;
 //  * one per-figure CSV next to it (all rows + counters, joinable on
 //    bench/dataset/kernel/dim/config);
 //  * a nonzero exit code when any expectation fails, so CI catches a run
@@ -32,9 +31,12 @@
 
 #include "gpusim/device.h"
 #include "gpusim/stats.h"
-#include "json.h"
+#include "util/json.h"
 
 namespace bench {
+
+using Json = gnnone::util::Json;
+using JsonError = gnnone::util::JsonError;
 
 inline constexpr const char* kResultSchemaName = "gnnone-bench-results";
 inline constexpr int kResultSchemaVersion = 1;
@@ -170,35 +172,13 @@ bool parse_scale(const char* s, Scale* out);
 /// Prints the per-expectation ok/FAIL table of one bench to stdout.
 void print_expectations(const Harness& h);
 
-/// Standalone entry point (the per-figure binaries' main). Flags:
-///   --scale=full|ci   suite scale (default full)
-///   --out=DIR         where BENCH_RESULTS.json + <name>.csv go (default
-///                     "."; "-" disables file output)
-///   --trace=PATH      record every kernel launch and write a
-///                     chrome://tracing JSON timeline to PATH
-/// Exit code: nonzero when the bench body fails, a paper-shape expectation
-/// fails, or a result file cannot be written.
-int run_standalone(const BenchInfo& info, int argc, char** argv);
-
 }  // namespace bench
 
-// Declares + registers a bench body. Standalone binaries get a main();
-// bench_runner (compiled with -DGNNONE_BENCH_RUNNER) links many benches and
-// provides its own main over the registry.
-#ifdef GNNONE_BENCH_RUNNER
-#define GNNONE_BENCH_MAIN()
-#else
-#define GNNONE_BENCH_MAIN()                                         \
-  int main(int argc, char** argv) {                                 \
-    return bench::run_standalone(gnnone_bench_info, argc, argv);    \
-  }
-#endif
-
+// Declares + registers a bench body; bench_runner runs the registry.
 #define GNNONE_BENCH(name_, order_, title_, ref_)                   \
   static int gnnone_bench_body(bench::Harness&);                    \
   static const bench::BenchInfo gnnone_bench_info{                  \
       #name_, order_, title_, ref_, &gnnone_bench_body};            \
   [[maybe_unused]] static const bool gnnone_bench_registered =      \
       (bench::register_bench(gnnone_bench_info), true);             \
-  GNNONE_BENCH_MAIN()                                               \
   static int gnnone_bench_body([[maybe_unused]] bench::Harness& h)

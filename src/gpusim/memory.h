@@ -104,6 +104,9 @@ class DeviceMemory {
 
   std::size_t in_use() const { return in_use_; }
   std::size_t peak() const { return peak_; }
+  /// Restarts the high-water mark at the current usage, so peak() reports
+  /// the highest usage since this call (e.g. one serve's own peak).
+  void reset_peak() { peak_ = in_use_; }
   std::size_t capacity() const { return capacity_; }
   /// Total allocate() calls observed (successful or not).
   std::uint64_t allocation_count() const { return allocations_; }

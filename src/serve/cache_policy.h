@@ -31,7 +31,7 @@
 // Everything here is deterministic: orders are full sorts with total
 // tiebreaks, probe epochs derive their sampler seeds from (seed, epoch),
 // and CLOCK state evolves per batch under an explicit commit discipline
-// (feature_cache.h) so serial, pipelined, and chaos drivers observe
+// (feature_cache.h) so serial, pipelined, and chaos-recovered serves observe
 // identical hit/miss streams.
 #pragma once
 

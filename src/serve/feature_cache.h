@@ -24,9 +24,8 @@
 // and commits the result, while every other gather on the batch's behalf
 // (retries, bisected halves, truncated or safe-mode reruns) replays against
 // that same basis and discards its state. Commits therefore happen in batch
-// order with lookahead-1 recovery in every driver, so the hit/miss stream —
-// and every cycle charged from it — is identical in serial, pipelined, and
-// chaos-recovery execution.
+// order, so the hit/miss stream — and every cycle charged from it — is
+// identical in serial, pipelined, and chaos-recovery execution.
 #pragma once
 
 #include <cstddef>
@@ -178,8 +177,9 @@ class FeatureCache {
    private:
     friend class FeatureCache;
     /// State after the last committed batch with id < `batch` (the initial
-    /// state when none). Snapshots keep a depth-3 history — enough for the
-    /// pipelined driver's lookahead-1 recovery replays.
+    /// state when none). Snapshots keep a depth-3 history; a batch and its
+    /// recovery replays run before the next batch, so only the newest
+    /// snapshot below `batch` is ever the basis.
     const serve::ClockCache& basis(std::int64_t batch) const;
     void commit(std::int64_t batch, serve::ClockCache&& state);
 

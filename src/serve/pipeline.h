@@ -93,7 +93,8 @@ class StreamTimeline {
   std::uint64_t idle_cycles_ = 0;
 };
 
-/// Per-batch stage costs, as the serial cost model measures them.
+/// Per-batch stage costs, as the serial cost model measures them, and the
+/// devices the stages run on.
 struct BatchStageCycles {
   std::uint64_t sample = 0;
   std::uint64_t gather = 0;
@@ -107,32 +108,52 @@ struct BatchStageCycles {
   /// (StreamTimeline::idle_cycles), with idle == 0 whenever every release
   /// is 0.
   std::uint64_t release = 0;
+  /// Device running the sample + gather stages, and device running the
+  /// forward (indices into place_batches' timelines; 0 on one device).
+  int sampler_device = 0;
+  int forward_device = 0;
 };
 
-/// Builds the serving schedule over kNumServeStreams streams; span index
-/// 3 * batch + stream, batch-major.
+/// Places every batch's stage spans on one StreamTimeline per device
+/// (kNumServeStreams streams each) and attributes them. A batch is two work
+/// items: PREP (sample then gather, on its sampler device) and FWD (the
+/// forward, on its forward device, once PREP is done). Items commit in
+/// globally nondecreasing start order, ties to the lower batch id, and a
+/// device's spans are laid out in commit order.
 ///
-/// Serial mode chains every stage behind the previous one (the pre-pipeline
-/// driver): makespan == sum of all stage cycles.
+/// Serial mode: a device runs one stage at a time, so every item waits for
+/// the device's previous span. One device chains every stage behind the
+/// previous one (makespan == sum of all stage cycles); several devices run
+/// concurrently, each a serial list schedule over its own items.
 ///
-/// Pipelined mode stages batches through a three-slot software pipeline —
-/// one slot sampling, one gathering (or gathered, waiting), one forwarding —
-/// so sample/gather of batch b+1 overlap with forward of batch b:
+/// Pipelined mode: a device's three streams run concurrently, staging its
+/// batches through a three-slot software pipeline — one slot sampling, one
+/// gathering (or gathered, waiting), one forwarding — so sample/gather of
+/// batch b+1 overlap with forward of batch b:
 ///
-///   sample[b]  starts when the sample stream is free and batch b-2 has
-///              retired (its slot is the one batch b reuses);
+///   sample[b]  starts when the sample stream is free and the device's
+///              batch two before b has retired (its slot is the one batch b
+///              reuses);
 ///   gather[b]  starts when sample[b] is done and the gather stream is free;
 ///   forward[b] starts when gather[b] is done and the forward stream is free.
 ///
-/// The schedule is work-conserving, so its makespan never exceeds the serial
-/// sum, and the saving is bounded by the sample+gather cycles available to
-/// hide (attribute() proves both per run; the bench expectations pin them).
+/// A batch forwarded on its own sampler device takes its forward slot right
+/// behind its gather, so each such device runs exactly the single-device
+/// pipeline over its own batches, batch-major. The schedule is
+/// work-conserving, so on those devices the pipelined makespan never exceeds
+/// the serial one and the saving is bounded by the sample+gather cycles
+/// available to hide (attribute() proves both per run; the bench
+/// expectations pin them). A handed-off batch's forward joins its forward
+/// device's stream as a list-scheduled item.
 ///
-/// A batch's sample span additionally starts no earlier than its `release`
+/// In both modes a batch's sample span starts no earlier than its `release`
 /// cycle (0 for closed-loop batches): an open-loop server cannot work on
-/// requests that have not arrived, in either mode. Pipelined overlap still
-/// never reorders batches, so the pipelined makespan stays <= the serial one
-/// point for point.
+/// requests that have not arrived.
+std::vector<StreamTimeline> place_batches(
+    std::span<const BatchStageCycles> batches, int num_devices,
+    bool pipelined);
+
+/// place_batches on one device: span index 3 * batch + stream, batch-major.
 StreamTimeline serve_timeline(std::span<const BatchStageCycles> batches,
                               bool pipelined);
 

@@ -9,7 +9,6 @@
 
 #include "gpusim/sanitizer.h"
 #include "graph/convert.h"
-#include "serve/server_state.h"
 
 namespace gnnone {
 
@@ -33,9 +32,25 @@ const ServeOptions& validated(const ServeOptions& opts) {
   return opts;
 }
 
-}  // namespace
-
-namespace serve_detail {
+/// Throws std::invalid_argument unless `kind` names a served model and its
+/// fanouts are non-empty and positive; `who` prefixes the message.
+void validate_model(const std::string& who, const std::string& kind,
+                    const std::vector<int>& fanouts) {
+  if (kind != "gcn" && kind != "gin" && kind != "gat") {
+    throw std::invalid_argument(who + ": unknown model_kind '" + kind +
+                                "' (want gcn, gin or gat)");
+  }
+  if (fanouts.empty()) {
+    throw std::invalid_argument(who + ": fanouts must not be empty");
+  }
+  for (int f : fanouts) {
+    if (f <= 0) {
+      throw std::invalid_argument(
+          who + ": fanouts must be positive for serving, got " +
+          std::to_string(f));
+    }
+  }
+}
 
 /// Boundary validation of one request. Empty = admissible. The sampler
 /// would throw std::invalid_argument on an out-of-range seed — the server
@@ -59,26 +74,65 @@ std::string validate_request(const SeedRequest& r, vid_t num_vertices) {
   return {};
 }
 
-}  // namespace serve_detail
+void record_step(ServingReport& rep, const std::vector<std::size_t>& members,
+                 const serve::DegradationStep& step) {
+  for (std::size_t idx : members) rep.outcomes[idx].trace.push_back(step);
+}
+
+void charge_backoff(ServingReport& rep, std::size_t b, std::uint64_t wait) {
+  rep.ledger.add("backoff", wait);
+  rep.batches[b].backoff_cycles += wait;
+}
+
+}  // namespace
+
+/// Per-serve mutable state threaded through every attempt.
+struct InferenceServer::ServeState {
+  std::span<const SeedRequest> requests;
+  ServingReport* rep = nullptr;
+  /// The active batch's tenant (an implicit one built from the options
+  /// without a tenant table) and model config — a batch and its whole
+  /// recovery ladder never mix tenants — and the caches_ slot it gathers
+  /// through.
+  const serve::TenantSpec* tenant = nullptr;
+  const ModelConfig* cfg = nullptr;
+  std::size_t cache = 0;
+  /// Devices the active batch's sample+gather and forward stages run on.
+  int device = 0;
+  int fwd_device = 0;
+  OpContext ctx;
+  SamplerScratch scratch;
+  /// Gather attempts per trace index — the `attempt` coordinate of the
+  /// transient-fetch fault schedule. Counted per gather entry per request,
+  /// success or not, so a transient clears after its scheduled number of
+  /// failures no matter how the request is (re)grouped.
+  std::vector<int> gather_attempts;
+  /// Per-cache CLOCK transactions (kClock only), index-aligned with caches_
+  /// and opened on a cache's first gather. A fresh serve starts from each
+  /// cache's seeded initial state — serves are independent.
+  std::vector<std::optional<FeatureCache::ClockTxn>> clock_txns;
+};
+
+struct InferenceServer::PreparedGroup {
+  std::vector<std::size_t> indices;  // trace indices of the member requests
+  std::size_t batch = 0;             // owning minibatch (stats slot)
+  GroupMode mode;
+  /// Per block row: the global vertex whose features the row carries.
+  std::vector<vid_t> block_vertices;
+  /// Per member: block row of each of its seeds, request-seed order.
+  std::vector<std::vector<vid_t>> seed_rows;
+  Coo coo;  // block-diagonal composition of the per-request blocks
+  /// Device registrations of the sampled topology and the gathered feature
+  /// rows; released (RAII) when the group retires or its attempt unwinds.
+  gpusim::DeviceAllocation topo;
+  gpusim::DeviceAllocation staging;
+};
 
 void ServeOptions::Validate() const {
-  if (model_kind != "gcn" && model_kind != "gin" && model_kind != "gat") {
-    throw std::invalid_argument("ServeOptions: unknown model_kind '" +
-                                model_kind + "' (want gcn, gin or gat)");
-  }
+  validate_model("ServeOptions", model_kind, fanouts);
   if (batch_size < 1) {
     throw std::invalid_argument("ServeOptions: batch_size must be >= 1, got " +
                                 std::to_string(batch_size));
-  }
-  if (fanouts.empty()) {
-    throw std::invalid_argument("ServeOptions: fanouts must not be empty");
-  }
-  for (int f : fanouts) {
-    if (f <= 0) {
-      throw std::invalid_argument(
-          "ServeOptions: fanouts must be positive for serving, got " +
-          std::to_string(f));
-    }
   }
   if (!(cache_alpha >= 0.0 && cache_alpha <= 1.0)) {
     throw std::invalid_argument(
@@ -113,23 +167,8 @@ void ServeOptions::Validate() const {
         "single-tenant path has nothing to partition by)");
   }
   for (const serve::TenantSpec& t : tenants) {
-    if (t.model_kind != "gcn" && t.model_kind != "gin" &&
-        t.model_kind != "gat") {
-      throw std::invalid_argument("ServeOptions: tenant '" + t.name +
-                                  "' has unknown model_kind '" +
-                                  t.model_kind + "' (want gcn, gin or gat)");
-    }
-    if (t.fanouts.empty()) {
-      throw std::invalid_argument("ServeOptions: tenant '" + t.name +
-                                  "' has empty fanouts");
-    }
-    for (int f : t.fanouts) {
-      if (f <= 0) {
-        throw std::invalid_argument(
-            "ServeOptions: tenant '" + t.name +
-            "' fanouts must be positive, got " + std::to_string(f));
-      }
-    }
+    validate_model("ServeOptions: tenant '" + t.name + "'", t.model_kind,
+                   t.fanouts);
     if (t.slo_cycles < 1) {
       throw std::invalid_argument("ServeOptions: tenant '" + t.name +
                                   "' slo_cycles must be >= 1");
@@ -141,25 +180,10 @@ void ServeOptions::Validate() const {
   }
   scheduler.Validate();
   shard.Validate();
-  if (shard.enabled()) {
-    if (!tenants.empty()) {
-      throw std::invalid_argument(
-          "ServeOptions: shard and tenants are mutually exclusive (the "
-          "sharded tier routes by vertex ownership, the scheduled tier by "
-          "tenant queues)");
-    }
-    if (device_memory != nullptr) {
-      throw std::invalid_argument(
-          "ServeOptions: shard and an external device_memory are mutually "
-          "exclusive (each shard owns its own tracker; use "
-          "InferenceServer::shard_memory)");
-    }
-    if (pipeline) {
-      throw std::invalid_argument(
-          "ServeOptions: shard and pipeline are mutually exclusive (the "
-          "sharded tier's overlap is across devices; within a device batches "
-          "run serially)");
-    }
+  if (partition_cache && shard.enabled()) {
+    throw std::invalid_argument(
+        "ServeOptions: partition_cache with shard is not supported (per-"
+        "(device, tenant) partitions would be a new cache layout)");
   }
 }
 
@@ -184,34 +208,25 @@ serve::CachePolicy InferenceServer::resolve_policy(const Dataset& ds,
   return serve::CachePolicy::kDegree;
 }
 
-FeatureCache InferenceServer::make_cache(const Dataset& ds,
-                                         const gpusim::DeviceSpec& dev,
-                                         const ServeOptions& opts, int in_dim,
-                                         const Csr& csr,
-                                         serve::CachePolicy policy) {
-  CacheConfig cc;
-  cc.policy = policy;
-  // Partitioned serving moves every row into the per-tenant caches (sharded
-  // serving into the per-device caches); the shared cache stays
-  // allocated-but-empty so the device byte budget is owned entirely by the
-  // partitions.
-  if (opts.partition_cache || opts.shard.enabled()) cc.capacity_override = 0;
-  if (policy == serve::CachePolicy::kPresampleFrequency &&
-      !opts.partition_cache && !opts.shard.enabled()) {
-    const std::vector<SeedRequest> own_probe =
-        opts.presample_probe.empty()
-            ? serve::default_presample_probe(ds.coo, opts.seed)
-            : std::vector<SeedRequest>{};
-    const std::span<const SeedRequest> probe =
-        opts.presample_probe.empty()
-            ? std::span<const SeedRequest>(own_probe)
-            : std::span<const SeedRequest>(opts.presample_probe);
-    const auto freq = serve::presample_frequencies(
-        csr, probe, opts.fanouts, opts.seed, opts.presample_epochs);
-    const auto order = serve::frequency_order(freq, row_lengths(ds.coo));
-    return FeatureCache(ds.coo, in_dim, opts.cache_alpha, dev, cc, order);
+std::vector<vid_t> InferenceServer::pin_order(
+    std::span<const SeedRequest> probe,
+    const std::vector<int>& fanouts) const {
+  if (policy_ != serve::CachePolicy::kPresampleFrequency) {
+    return serve::degree_order(ds_->coo);
   }
-  return FeatureCache(ds.coo, in_dim, opts.cache_alpha, dev, cc);
+  const auto freq = serve::presample_frequencies(
+      csr_, probe, fanouts, opts_.seed, opts_.presample_epochs);
+  return serve::frequency_order(freq, row_lengths(ds_->coo));
+}
+
+void InferenceServer::add_cache(int device, vid_t capacity,
+                                std::span<const vid_t> order) {
+  CacheConfig cc;
+  cc.policy = policy_;
+  cc.capacity_override = capacity;
+  caches_.emplace_back(ds_->coo, in_dim_, opts_.cache_alpha, dev_, cc, order);
+  cache_allocs_.emplace_back(*mems_[std::size_t(device)],
+                             caches_.back().device_bytes());
 }
 
 InferenceServer::InferenceServer(const Dataset& ds,
@@ -224,63 +239,79 @@ InferenceServer::InferenceServer(const Dataset& ds,
                                             : ds.input_feat_len),
       csr_(coo_to_csr(ds.coo)),
       policy_(resolve_policy(ds, dev, opts_, in_dim_)),
-      cache_(make_cache(ds, dev, opts_, in_dim_, csr_, policy_)),
       features_(make_features(ds.coo.num_rows, in_dim_,
                               ds.labeled ? ds.labels : std::vector<int>{},
-                              opts.seed)),
-      owned_mem_(opts.device_memory != nullptr
-                     ? nullptr
-                     : std::make_unique<gpusim::DeviceMemory>(
-                           dev.device_memory_bytes)),
-      mem_(opts.device_memory != nullptr ? opts.device_memory
-                                         : owned_mem_.get()),
-      cache_alloc_(*mem_, cache_.device_bytes()) {
-  cache_.set_fetch_faults(opts_.chaos.fetch_rate, opts_.chaos.seed);
+                              opts.seed)) {
+  const int nd = sharded() ? opts_.shard.num_devices : 1;
+  for (int d = 0; d < nd; ++d) {
+    if (d == 0 && opts_.device_memory != nullptr) {
+      mems_.push_back(opts_.device_memory);
+      continue;
+    }
+    owned_mems_.push_back(
+        std::make_unique<gpusim::DeviceMemory>(dev.device_memory_bytes));
+    mems_.push_back(owned_mems_.back().get());
+  }
 
-  if (opts_.shard.enabled()) {
-    // Sharded tier (serve/shard.h): the vertex set splits over the
-    // sampler-capable devices by contiguous ranges of the *global* pin
-    // order, and device d's cache partition pins exactly the globally
-    // pinned rows it owns — per-vertex membership is identical to the
-    // unsharded cache (the shared cache_ above was built empty, like the
-    // tenant-partitioned path), which is what makes the sharded hit/miss
-    // stream exact rather than approximate: a globally pinned row is a
-    // local hit on its owner and a remote (NVLink) hit everywhere else.
+  // Every cache pins the head of its own ranking, all ranked from one
+  // probe. The shared cache pins the alpha capacity, unless partitioned
+  // serving splits that capacity across tenants or sharded serving across
+  // the devices owning the pinned rows — then it stays allocated-but-empty
+  // and the partitions own the device byte budget.
+  std::vector<SeedRequest> own_probe;
+  if (policy_ == serve::CachePolicy::kPresampleFrequency &&
+      opts_.presample_probe.empty()) {
+    own_probe = serve::default_presample_probe(ds.coo, opts_.seed);
+  }
+  const std::span<const SeedRequest> probe =
+      opts_.presample_probe.empty()
+          ? std::span<const SeedRequest>(own_probe)
+          : std::span<const SeedRequest>(opts_.presample_probe);
+  const vid_t cap =
+      FeatureCache::capacity_for(ds.coo.num_rows, opts_.cache_alpha);
+  if (opts_.partition_cache || sharded()) {
+    add_cache(0, 0, {});
+  } else {
+    add_cache(0, cap, pin_order(probe, opts_.fanouts));
+  }
+
+  if (opts_.partition_cache) {
+    // Per-tenant partitions: the capacity splits by TenantSpec shares
+    // (largest remainder, sums exactly); each tenant ranks by its own share
+    // of the probe, falling back to the full probe when it issued none.
+    std::vector<double> shares;
+    for (const serve::TenantSpec& t : opts_.tenants) {
+      shares.push_back(t.cache_share);
+    }
+    const std::vector<vid_t> caps = serve::partition_capacities(cap, shares);
+    for (std::size_t t = 0; t < opts_.tenants.size(); ++t) {
+      std::vector<SeedRequest> sub;
+      for (const SeedRequest& r : probe) {
+        if (r.tenant == int(t)) sub.push_back(r);
+      }
+      const std::span<const SeedRequest> own =
+          sub.empty() ? probe : std::span<const SeedRequest>(sub);
+      add_cache(0, caps[t], pin_order(own, opts_.tenants[t].fanouts));
+    }
+  }
+
+  if (sharded()) {
+    // The vertex set splits over the sampler-capable devices by contiguous
+    // ranges of the global pin order (serve/shard.h), and device d pins
+    // exactly the globally pinned rows it owns — per-vertex membership is
+    // identical to the unsharded cache, so a globally pinned row is a local
+    // hit on its owner and a remote (NVLink) hit everywhere else.
+    const std::vector<vid_t> order = pin_order(probe, opts_.fanouts);
     std::vector<int> owners;
-    for (int d = 0; d < opts_.shard.num_devices; ++d) {
+    for (int d = 0; d < nd; ++d) {
       if (opts_.shard.samples(d)) owners.push_back(d);
     }
-    std::vector<vid_t> order;
-    if (policy_ == serve::CachePolicy::kPresampleFrequency) {
-      const std::vector<SeedRequest> own_probe =
-          opts_.presample_probe.empty()
-              ? serve::default_presample_probe(ds.coo, opts_.seed)
-              : std::vector<SeedRequest>{};
-      const std::span<const SeedRequest> probe =
-          opts_.presample_probe.empty()
-              ? std::span<const SeedRequest>(own_probe)
-              : std::span<const SeedRequest>(opts_.presample_probe);
-      const auto freq = serve::presample_frequencies(
-          csr_, probe, opts_.fanouts, opts_.seed, opts_.presample_epochs);
-      order = serve::frequency_order(freq, row_lengths(ds.coo));
-    } else {
-      order = serve::degree_order(ds.coo);
-    }
     shard_map_ = serve::ShardMap(order, owners);
-
-    const vid_t cap =
-        FeatureCache::capacity_for(ds.coo.num_rows, opts_.cache_alpha);
-    const std::size_t nd = std::size_t(opts_.shard.num_devices);
-    shard_caches_.reserve(nd);
-    shard_mems_.reserve(nd);
-    shard_cache_allocs_.reserve(nd);
-    for (int d = 0; d < opts_.shard.num_devices; ++d) {
-      // Device d's pin order: its owned vertices first (global-order
-      // sequence preserved, so the first `pinned` of them are exactly the
-      // owned ∩ globally-pinned rows), everyone else's after — the full
-      // ranking FeatureCache requires, with capacity_override cutting it at
-      // the owned pinned count. Σ over devices of the overrides == the
-      // global capacity exactly. Forward-only devices pin nothing.
+    for (int d = 0; d < nd; ++d) {
+      // Device d's ranking: its owned vertices first (global order
+      // preserved, so the first `pinned` are exactly the owned ∩ globally
+      // pinned rows), everyone else's after. Forward-only devices pin
+      // nothing.
       std::vector<vid_t> dev_order;
       vid_t pinned = 0;
       if (opts_.shard.samples(d)) {
@@ -294,79 +325,8 @@ InferenceServer::InferenceServer(const Dataset& ds,
           if (shard_map_.owner(v) != d) dev_order.push_back(v);
         }
       }
-      CacheConfig cc;
-      cc.policy = policy_;
-      cc.capacity_override = pinned;
-      shard_caches_.emplace_back(
-          ds.coo, in_dim_, opts_.cache_alpha, dev_, cc,
-          dev_order.empty() ? std::span<const vid_t>()
-                            : std::span<const vid_t>(dev_order));
-      // The per-device caches stay fault-disarmed: the sharded gather
-      // probes the fetch-fate schedule itself (serve/shard.cc), before the
-      // local/remote split, so a fault's (request, attempt) coordinate is
-      // independent of the shard layout.
-      shard_mems_.push_back(
-          std::make_unique<gpusim::DeviceMemory>(dev.device_memory_bytes));
-      shard_cache_allocs_.emplace_back(*shard_mems_.back(),
-                                       shard_caches_.back().device_bytes());
+      add_cache(d, pinned, dev_order);
     }
-    return;
-  }
-
-  if (!opts_.partition_cache) return;
-
-  // Per-tenant partitions: the alpha capacity splits by TenantSpec shares
-  // (largest remainder, sums exactly), each partition pins from its own
-  // order — a tenant-filtered probe for the frequency policy, falling back
-  // to the full probe when a tenant issued no probe requests.
-  const vid_t cap =
-      FeatureCache::capacity_for(ds.coo.num_rows, opts_.cache_alpha);
-  std::vector<double> shares;
-  shares.reserve(opts_.tenants.size());
-  for (const serve::TenantSpec& t : opts_.tenants) {
-    shares.push_back(t.cache_share);
-  }
-  const std::vector<vid_t> caps = serve::partition_capacities(cap, shares);
-
-  std::vector<SeedRequest> default_probe;
-  std::span<const SeedRequest> probe;
-  std::vector<vid_t> deg;
-  if (policy_ == serve::CachePolicy::kPresampleFrequency) {
-    if (opts_.presample_probe.empty()) {
-      default_probe = serve::default_presample_probe(ds.coo, opts_.seed);
-    }
-    probe = opts_.presample_probe.empty()
-                ? std::span<const SeedRequest>(default_probe)
-                : std::span<const SeedRequest>(opts_.presample_probe);
-    deg = row_lengths(ds.coo);
-  }
-  tenant_caches_.reserve(opts_.tenants.size());
-  tenant_cache_allocs_.reserve(opts_.tenants.size());
-  for (std::size_t t = 0; t < opts_.tenants.size(); ++t) {
-    CacheConfig cc;
-    cc.policy = policy_;
-    cc.capacity_override = caps[t];
-    std::vector<vid_t> order;
-    if (policy_ == serve::CachePolicy::kPresampleFrequency) {
-      std::vector<SeedRequest> sub;
-      for (const SeedRequest& r : probe) {
-        if (r.tenant == int(t)) sub.push_back(r);
-      }
-      const std::span<const SeedRequest> tenant_probe =
-          sub.empty() ? probe : std::span<const SeedRequest>(sub);
-      const auto freq = serve::presample_frequencies(
-          csr_, tenant_probe, opts_.tenants[t].fanouts, opts_.seed,
-          opts_.presample_epochs);
-      order = serve::frequency_order(freq, deg);
-    }
-    tenant_caches_.emplace_back(
-        ds.coo, in_dim_, opts_.cache_alpha, dev_, cc,
-        order.empty() ? std::span<const vid_t>()
-                      : std::span<const vid_t>(order));
-    tenant_caches_.back().set_fetch_faults(opts_.chaos.fetch_rate,
-                                           opts_.chaos.seed);
-    tenant_cache_allocs_.emplace_back(*mem_,
-                                      tenant_caches_.back().device_bytes());
   }
 }
 
@@ -390,6 +350,7 @@ InferenceServer::PreparedGroup InferenceServer::prepare_group(
     std::size_t b, serve::ChaosSite* stage) const {
   ServingReport& rep = *st.rep;
   BatchStats& bs = rep.batches[b];
+  gpusim::DeviceMemory& mem = *mems_[std::size_t(st.device)];
   PreparedGroup pg;
   pg.indices = indices;
   pg.batch = b;
@@ -402,10 +363,8 @@ InferenceServer::PreparedGroup InferenceServer::prepare_group(
   // group the request lands in.
   *stage = serve::ChaosSite::kSample;
   SampleOptions so;
-  const std::vector<int>& base_fanouts =
-      st.tenant != nullptr ? st.tenant->fanouts : opts_.fanouts;
-  so.fanouts =
-      mode.truncated ? truncated_fanouts(base_fanouts) : base_fanouts;
+  so.fanouts = mode.truncated ? truncated_fanouts(st.tenant->fanouts)
+                              : st.tenant->fanouts;
   so.seed = opts_.seed;
 
   vid_t group_seeds = 0;
@@ -447,11 +406,10 @@ InferenceServer::PreparedGroup InferenceServer::prepare_group(
   // attempt fires here, *before* the stage charges the ledger, so retries
   // never double-charge.
   if (arms_oom(indices, mode, serve::ChaosSite::kSample)) {
-    st.mem->fail_at_allocation(1);
+    mem.fail_at_allocation(1);
   }
   pg.topo = gpusim::DeviceAllocation(
-      *st.mem,
-      (2 * std::size_t(pg.coo.nnz()) + pg.block_vertices.size()) * 4);
+      mem, (2 * std::size_t(pg.coo.nnz()) + pg.block_vertices.size()) * 4);
 
   // The sampler reports the adjacency bytes it scanned; charge them at DRAM
   // bandwidth as one launch per group.
@@ -460,11 +418,9 @@ InferenceServer::PreparedGroup InferenceServer::prepare_group(
                                      dev_.dram_bytes_per_cycle));
   rep.ledger.add("sample", sample_cycles);
   bs.sample_cycles += sample_cycles;
-  // Sharded serving: a kSymmetric device co-locates the sampling scan with
-  // forward kernels and pays the contention dilation on both (shard.h);
-  // dedicated devices and the single-device paths charge nothing here.
-  const std::uint64_t sample_dil =
-      colocation_extra(st.shard_device, sample_cycles);
+  // A kSymmetric shard co-locates the sampling scan with forward kernels
+  // and pays the contention dilation on both (shard.h).
+  const std::uint64_t sample_dil = colocation_extra(st.device, sample_cycles);
   if (sample_dil > 0) {
     rep.ledger.add("colocation", sample_dil);
     bs.sample_cycles += sample_dil;
@@ -490,48 +446,20 @@ InferenceServer::PreparedGroup InferenceServer::prepare_group(
   }
 
   if (arms_oom(indices, mode, serve::ChaosSite::kGather)) {
-    st.mem->fail_at_allocation(1);
+    mem.fail_at_allocation(1);
   }
   pg.staging = gpusim::DeviceAllocation(
-      *st.mem, unique_vertices.size() * std::size_t(in_dim_) * 4);
+      mem, unique_vertices.size() * std::size_t(in_dim_) * 4);
 
   // Every member pays one gather attempt, success or not; the probes carry
-  // the pre-attempt counts so the cache's fault schedule sees a stable
+  // the pre-attempt counts so the fault schedule sees a stable
   // (request, attempt) coordinate regardless of grouping.
   std::vector<GatherProbe> probes;
   probes.reserve(indices.size());
   for (std::size_t idx : indices) {
     probes.push_back({std::uint64_t(idx), st.gather_attempts[idx]++});
   }
-  // Gather through the active cache: the owner device's partition when
-  // serving is sharded, the tenant's partition when partitioned, the shared
-  // cache otherwise. Under kClock the gather carries its batch's
-  // transaction coordinates; only the batch's first full-fidelity,
-  // full-membership attempt commits the advanced state (recovery replays —
-  // retries after a commit, bisected halves, truncated or safe reruns —
-  // observe the same basis and discard), which is what keeps the hit stream
-  // identical across serial, pipelined, and chaos drivers.
-  GatherStats gst;
-  if (sharded()) {
-    gst = sharded_gather(st, unique_vertices, probes, mode, b);
-  } else {
-    const FeatureCache& fc =
-        (!tenant_caches_.empty() && st.tenant_idx >= 0)
-            ? tenant_caches_[std::size_t(st.tenant_idx)]
-            : cache_;
-    FeatureCache::ClockGatherCtx clock;
-    if (policy_ == serve::CachePolicy::kClock && !st.clock_txns.empty()) {
-      const std::size_t slot = (!tenant_caches_.empty() && st.tenant_idx >= 0)
-                                   ? std::size_t(st.tenant_idx)
-                                   : 0;
-      clock.txn = &st.clock_txns[slot];
-      clock.batch = std::int64_t(b);
-      clock.commit = !mode.truncated && !mode.safe &&
-                     indices.size() == std::size_t(bs.num_requests);
-    }
-    gst = fc.gather(unique_vertices, &rep.ledger, &rep.bytes, probes,
-                    mode.safe, clock);
-  }
+  const GatherStats gst = gather(st, unique_vertices, probes, mode, b);
   bs.gather.hits += gst.hits;
   bs.gather.misses += gst.misses;
   bs.gather.evictions += gst.evictions;
@@ -547,6 +475,106 @@ InferenceServer::PreparedGroup InferenceServer::prepare_group(
   return pg;
 }
 
+GatherStats InferenceServer::gather(ServeState& st,
+                                    std::span<const vid_t> unique_vertices,
+                                    std::span<const GatherProbe> probes,
+                                    GroupMode mode, std::size_t b) const {
+  // FeatureCache::gather's boundary behaviour: an empty vertex span is a
+  // no-op (no launch, no fault probe), and the fault check fires before any
+  // cycle or byte is charged. The check lives here, not in the caches, so
+  // a request's (key, attempt) coordinate is probed exactly once per gather
+  // attempt no matter how its vertices split between local and remote
+  // owners — chaos outcomes are shard-layout invariant.
+  if (unique_vertices.empty()) return {};
+  if (opts_.chaos.fetch_rate > 0.0) {
+    for (const GatherProbe& p : probes) {
+      const serve::FetchFate f = serve::fetch_fate(
+          opts_.chaos.fetch_rate, opts_.chaos.seed, p.key);
+      if (f.poisoned && p.attempt < f.failing_attempts) {
+        throw TransientFetchError(p.key, p.attempt + 1);
+      }
+    }
+  }
+
+  ServingReport& rep = *st.rep;
+  const FeatureCache& fc = caches_[st.cache];
+  std::uint64_t remote_hits = 0, remote_misses = 0;
+  std::vector<vid_t> local;
+  if (sharded()) {
+    local.reserve(unique_vertices.size());
+    for (vid_t v : unique_vertices) {
+      const int owner = shard_map_.owner(v);
+      if (owner == st.device) {
+        local.push_back(v);
+        continue;
+      }
+      // Remote rows: the owner's pinned copy streams over NVLink; anything
+      // the owner does not pin is refetched from the host over PCIe. Under
+      // kClock the remote lookup consults the owner's *seeded* membership
+      // (FeatureCache::cached) — a peer's in-flight CLOCK hand is not
+      // observable across the link, so only the static resident set is.
+      // Safe mode (cache bypass) refuses peers too: every row crosses PCIe.
+      const bool hit = !mode.safe && shard_cache(owner).cached(v);
+      ++(hit ? remote_hits : remote_misses);
+    }
+  }
+  const std::span<const vid_t> rows =
+      sharded() ? std::span<const vid_t>(local) : unique_vertices;
+
+  // Local rows go through the active cache with the full policy machinery.
+  // Under kClock the gather carries its batch's transaction coordinates;
+  // only the batch's first full-fidelity, full-membership attempt commits
+  // the advanced state (recovery replays — retries after a commit, bisected
+  // halves, truncated or safe reruns — observe the same basis and discard),
+  // which keeps the hit stream identical across placements and chaos.
+  FeatureCache::ClockGatherCtx clock;
+  if (policy_ == serve::CachePolicy::kClock) {
+    std::optional<FeatureCache::ClockTxn>& txn = st.clock_txns[st.cache];
+    if (!txn) txn.emplace(fc);
+    clock.txn = &*txn;
+    clock.batch = std::int64_t(b);
+    clock.commit = !mode.truncated && !mode.safe &&
+                   probes.size() == std::size_t(rep.batches[b].num_requests);
+  }
+  GatherStats gst;
+  if (!rows.empty()) {
+    gst = fc.gather(rows, &rep.ledger, &rep.bytes, {}, mode.safe, clock);
+  }
+  gst.remote_hits = remote_hits;
+  gst.remote_misses = remote_misses;
+  gst.remote_hit_bytes = remote_hits * fc.row_bytes();
+  gst.remote_miss_bytes = remote_misses * fc.row_bytes();
+
+  // Remote traffic and the launch make-up: the local gather charged its own
+  // launch, or nothing at all when every row was remote — in which case the
+  // one launch this gather still issues is charged here, so every non-empty
+  // gather costs exactly one launch regardless of the local/remote split.
+  const std::uint64_t remote_cycles =
+      std::uint64_t(std::ceil(double(gst.remote_hit_bytes) /
+                              dev_.nvlink_bytes_per_cycle)) +
+      std::uint64_t(std::ceil(double(gst.remote_miss_bytes) /
+                              dev_.pcie_bytes_per_cycle));
+  const std::uint64_t extra = remote_cycles + (rows.empty() ? 2000 : 0);
+  if (extra > 0) rep.ledger.add("feature_gather", extra);
+  if (gst.remote_hit_bytes > 0) {
+    rep.bytes.add("feature_remote_hit", gst.remote_hit_bytes);
+  }
+  if (gst.remote_miss_bytes > 0) {
+    rep.bytes.add("feature_remote_miss", gst.remote_miss_bytes);
+  }
+  gst.cycles += extra;
+  return gst;
+}
+
+std::uint64_t InferenceServer::colocation_extra(int device,
+                                                std::uint64_t cycles) const {
+  if (!sharded() || opts_.shard.role(device) != serve::ShardRole::kSymmetric) {
+    return 0;
+  }
+  return std::uint64_t(
+      std::llround((opts_.shard.colocation_dilation - 1.0) * double(cycles)));
+}
+
 void InferenceServer::forward_group(ServeState& st,
                                     const PreparedGroup& pg) const {
   ServingReport& rep = *st.rep;
@@ -554,15 +582,14 @@ void InferenceServer::forward_group(ServeState& st,
   const vid_t n = pg.coo.num_rows;
 
   // Activations: the staged input block plus the output logits, on the
-  // forward device's tracker when sharding handed the batch off. May throw
-  // DeviceOutOfMemory (armed below for an injected forward-site fault).
-  gpusim::DeviceMemory& fwd_mem = st.fwd_mem != nullptr ? *st.fwd_mem : *st.mem;
+  // forward device's tracker. May throw DeviceOutOfMemory (armed below for
+  // an injected forward-site fault).
+  gpusim::DeviceMemory& mem = *mems_[std::size_t(st.fwd_device)];
   if (arms_oom(pg.indices, pg.mode, serve::ChaosSite::kForward)) {
-    fwd_mem.fail_at_allocation(1);
+    mem.fail_at_allocation(1);
   }
   const gpusim::DeviceAllocation activations(
-      fwd_mem,
-      std::size_t(n) * std::size_t(in_dim_ + ds_->num_classes) * 4);
+      mem, std::size_t(n) * std::size_t(in_dim_ + ds_->num_classes) * 4);
 
   // Injected kernel fault: fires at forward entry, before any kernel
   // charges, the way simsan's fatal mode aborts a launch. A curable fault
@@ -593,9 +620,7 @@ void InferenceServer::forward_group(ServeState& st,
                       pg.coo, dev_);
   engine.set_tuning_cache(pg.mode.safe ? nullptr : opts_.tuning_cache);
   engine.set_online_tune(pg.mode.safe ? false : opts_.online_tune);
-  const std::string& kind =
-      st.tenant != nullptr ? st.tenant->model_kind : opts_.model_kind;
-  const auto model = make_model(kind, engine, *st.cfg);
+  const auto model = make_model(st.tenant->model_kind, engine, *st.cfg);
   const VarPtr logp = model->forward(st.ctx, engine, x, opts_.seed);
 
   for (std::size_t m = 0; m < pg.indices.size(); ++m) {
@@ -611,43 +636,16 @@ void InferenceServer::forward_group(ServeState& st,
       out.push_back(best);
     }
   }
-  // forward_group charges the ledger contiguously, so the delta is this
-  // group's forward cost even when prepare calls interleave (pipelined).
   const std::uint64_t fwd_cycles = rep.ledger.total() - fwd_before;
   bs.forward_cycles += fwd_cycles;
-  // Sharded serving: the forward side of the colocation dilation (the
-  // sample side is charged in prepare_group).
-  const std::uint64_t fwd_dil =
-      colocation_extra(st.shard_fwd_device, fwd_cycles);
+  // The forward side of the colocation dilation (the sample side is
+  // charged in prepare_group).
+  const std::uint64_t fwd_dil = colocation_extra(st.fwd_device, fwd_cycles);
   if (fwd_dil > 0) {
     rep.ledger.add("colocation", fwd_dil);
     bs.forward_cycles += fwd_dil;
     bs.colocation_forward_cycles += fwd_dil;
   }
-}
-
-bool InferenceServer::forward_or_fault(ServeState& st, const PreparedGroup& pg,
-                                       StageFault* fault) const {
-  try {
-    forward_group(st, pg);
-    for (std::size_t idx : pg.indices) {
-      serve::RequestOutcome& o = st.rep->outcomes[idx];
-      o.truncated_fanouts = pg.mode.truncated;
-      o.status = (pg.mode.truncated || pg.mode.safe)
-                     ? serve::Status::kDegraded
-                     : serve::Status::kOk;
-      o.error.clear();
-    }
-    return true;
-  } catch (const gpusim::DeviceOutOfMemory& e) {
-    *fault = {serve::Status::kOom, serve::ChaosSite::kForward, e.what()};
-  } catch (const gpusim::SanitizerError& e) {
-    *fault = {serve::Status::kKernelFault, serve::ChaosSite::kForward,
-              e.what()};
-  }
-  st.rep->batches[pg.batch].fault_events += 1;
-  st.rep->fault_events += 1;
-  return false;
 }
 
 bool InferenceServer::try_group(ServeState& st,
@@ -657,80 +655,28 @@ bool InferenceServer::try_group(ServeState& st,
   serve::ChaosSite stage = serve::ChaosSite::kSample;
   try {
     const PreparedGroup pg = prepare_group(st, indices, mode, b, &stage);
-    return forward_or_fault(st, pg, fault);
+    stage = serve::ChaosSite::kForward;
+    forward_group(st, pg);
+    for (std::size_t idx : indices) {
+      serve::RequestOutcome& o = st.rep->outcomes[idx];
+      o.truncated_fanouts = mode.truncated;
+      o.status = (mode.truncated || mode.safe) ? serve::Status::kDegraded
+                                               : serve::Status::kOk;
+      o.error.clear();
+    }
+    return true;
   } catch (const gpusim::DeviceOutOfMemory& e) {
     *fault = {serve::Status::kOom, stage, e.what()};
   } catch (const TransientFetchError& e) {
     *fault = {serve::Status::kTransientFetch, serve::ChaosSite::kGather,
               e.what()};
+  } catch (const gpusim::SanitizerError& e) {
+    *fault = {serve::Status::kKernelFault, serve::ChaosSite::kForward,
+              e.what()};
   }
   st.rep->batches[b].fault_events += 1;
-  st.rep->fault_events += 1;
   return false;
 }
-
-namespace {
-
-void record_step(ServingReport& rep, const std::vector<std::size_t>& members,
-                 const serve::DegradationStep& step) {
-  for (std::size_t idx : members) rep.outcomes[idx].trace.push_back(step);
-}
-
-void charge_backoff(ServingReport& rep, std::size_t b, std::uint64_t wait) {
-  rep.ledger.add("backoff", wait);
-  rep.batches[b].backoff_cycles += wait;
-  rep.backoff_cycles += wait;
-}
-
-/// Builds the per-stream timeline from the measured stage costs and folds
-/// the schedule into the report: makespan, per-stage exposed/overlapped
-/// splits, per-batch latencies, cache totals. Backoff waits ride each
-/// batch's sample (host) span and open-loop batches carry their release
-/// cycle, so Sigma exposed + idle == makespan holds under both recovery and
-/// arrival gaps (idle == 0 whenever every release is 0).
-void fold_timeline(ServingReport& rep, bool pipelined) {
-  const std::size_t nb = rep.batches.size();
-  std::vector<BatchStageCycles> stage_cycles(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    BatchStats& bs = rep.batches[b];
-    bs.cycles = bs.sample_cycles + bs.gather.cycles + bs.forward_cycles +
-                bs.backoff_cycles;
-    stage_cycles[b] = {bs.sample_cycles + bs.backoff_cycles, bs.gather.cycles,
-                       bs.forward_cycles, bs.release_cycle};
-  }
-  const StreamTimeline tl = serve_timeline(stage_cycles, pipelined);
-  rep.timeline = tl.spans();
-  rep.total_cycles = tl.makespan();
-  rep.serial_cycles = rep.ledger.total();
-  rep.idle_cycles = tl.idle_cycles();
-
-  for (std::size_t b = 0; b < nb; ++b) {
-    BatchStats& bs = rep.batches[b];
-    const StageSpan& s = rep.timeline[3 * b + std::size_t(kSampleStream)];
-    const StageSpan& f = rep.timeline[3 * b + std::size_t(kForwardStream)];
-    bs.latency_cycles = f.end - s.start;
-    rep.sample_cycles += bs.sample_cycles;
-    rep.gather_cycles += bs.gather.cycles;
-    rep.forward_cycles += bs.forward_cycles;
-    rep.max_batch_cycles = std::max(rep.max_batch_cycles, bs.latency_cycles);
-    rep.cache_hits += bs.gather.hits;
-    rep.cache_misses += bs.gather.misses;
-    rep.cache_evictions += bs.gather.evictions;
-    rep.cache_hit_bytes += bs.gather.hit_bytes;
-    rep.cache_miss_bytes += bs.gather.miss_bytes;
-    rep.cache_insert_bytes += bs.gather.insert_bytes;
-  }
-  for (const StageSpan& span : rep.timeline) {
-    StageSplit& split = span.stream == kSampleStream   ? rep.sample_split
-                        : span.stream == kGatherStream ? rep.gather_split
-                                                       : rep.forward_split;
-    split.cycles += span.cycles();
-    split.exposed += span.exposed;
-    split.overlapped += span.overlapped;
-  }
-}
-
-}  // namespace
 
 void InferenceServer::recover_batch(ServeState& st, std::size_t b,
                                     const std::vector<std::size_t>& members,
@@ -815,175 +761,50 @@ void InferenceServer::singleton_ladder(ServeState& st, std::size_t b,
 
 ServingReport InferenceServer::serve(
     std::span<const SeedRequest> requests) const {
-  if (sharded()) return serve_sharded(requests);
-  if (!opts_.tenants.empty()) return serve_scheduled(requests);
   ServingReport rep;
   rep.num_requests = int(requests.size());
   rep.pipelined = opts_.pipeline;
   rep.predictions.resize(requests.size());
   rep.outcomes.resize(requests.size());
-
-  // Boundary validation: invalid requests are rejected per-request, never
-  // handed to the sampler.
-  std::vector<std::size_t> valid;
-  valid.reserve(requests.size());
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    std::string err = serve_detail::validate_request(requests[r], csr_.num_rows);
-    if (err.empty()) {
-      valid.push_back(r);
-    } else {
-      rep.outcomes[r].status = serve::Status::kRejected;
-      rep.outcomes[r].error = std::move(err);
-    }
-  }
-
-  const std::size_t bsz = std::size_t(opts_.batch_size);
-  const std::size_t nb = (valid.size() + bsz - 1) / bsz;
-  rep.num_batches = int(nb);
-  rep.batches.resize(nb);
-  std::vector<std::vector<std::size_t>> batches(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    batches[b].assign(valid.begin() + long(b * bsz),
-                      valid.begin() + long(std::min((b + 1) * bsz,
-                                                    valid.size())));
-    rep.batches[b].num_requests = int(batches[b].size());
-  }
-
-  const ModelConfig cfg =
-      model_config_for(opts_.model_kind, in_dim_, ds_->num_classes);
-
-  ServeState st;
-  st.requests = requests;
-  st.rep = &rep;
-  st.cfg = &cfg;
-  st.ctx.dev = &dev_;
-  st.ctx.ledger = &rep.ledger;
-  st.ctx.training = false;  // dropout is identity at serving time
-  st.gather_attempts.assign(requests.size(), 0);
-  if (policy_ == serve::CachePolicy::kClock) st.clock_txns.emplace_back(cache_);
-  st.mem = mem_;
-
-  if (!opts_.pipeline) {
-    for (std::size_t b = 0; b < nb; ++b) {
-      StageFault fault;
-      if (!try_group(st, batches[b], GroupMode{}, b, &fault)) {
-        recover_batch(st, b, batches[b], fault);
-      }
-    }
-  } else if (nb > 0) {
-    // Three-slot software pipeline: while batch b forwards, batch b + 1 is
-    // sampled and gathered. A fault in either phase drops the batch out of
-    // the pipeline into the recovery ladder (which re-runs it whole, same
-    // attempt sequence as serial mode — the chaos schedule keys on trace
-    // indices, so outcomes and charges match serial bit for bit); the
-    // pipeline continues with its neighbors.
-    auto prepare_phase =
-        [&](std::size_t b) -> std::optional<PreparedGroup> {
-      serve::ChaosSite stage = serve::ChaosSite::kSample;
-      try {
-        return prepare_group(st, batches[b], GroupMode{}, b, &stage);
-      } catch (const gpusim::DeviceOutOfMemory& e) {
-        rep.batches[b].fault_events += 1;
-        rep.fault_events += 1;
-        recover_batch(st, b, batches[b],
-                      {serve::Status::kOom, stage, e.what()});
-      } catch (const TransientFetchError& e) {
-        rep.batches[b].fault_events += 1;
-        rep.fault_events += 1;
-        recover_batch(st, b, batches[b],
-                      {serve::Status::kTransientFetch,
-                       serve::ChaosSite::kGather, e.what()});
-      }
-      return std::nullopt;
-    };
-
-    std::optional<PreparedGroup> next = prepare_phase(0);
-    for (std::size_t b = 0; b < nb; ++b) {
-      std::optional<PreparedGroup> cur = std::move(next);
-      next.reset();
-      if (b + 1 < nb) next = prepare_phase(b + 1);
-      if (cur.has_value()) {
-        StageFault fault;
-        if (!forward_or_fault(st, *cur, &fault)) {
-          cur.reset();  // release the faulted attempt's staging first
-          recover_batch(st, b, batches[b], fault);
-        }
-      }
-    }
-  }
-
-  fold_timeline(rep, opts_.pipeline);
-
-  // Queue/service attribution against the schedule actually reported: the
-  // closed-loop convention is that every request "arrived" at its
-  // arrival_cycle (usually 0) and queued until its batch's sample span
-  // started. Rejected requests keep 0/0.
-  for (std::size_t b = 0; b < nb; ++b) {
-    const StageSpan& s = rep.timeline[3 * b + std::size_t(kSampleStream)];
-    const StageSpan& f = rep.timeline[3 * b + std::size_t(kForwardStream)];
-    for (std::size_t idx : batches[b]) {
-      serve::RequestOutcome& o = rep.outcomes[idx];
-      const std::uint64_t arrival = requests[idx].arrival_cycle;
-      o.queue_cycles = s.start > arrival ? s.start - arrival : 0;
-      o.service_cycles = f.end - s.start;
-    }
-  }
-  return rep;
-}
-
-ServingReport InferenceServer::serve_scheduled(
-    std::span<const SeedRequest> requests) const {
-  ServingReport rep;
-  rep.num_requests = int(requests.size());
-  rep.pipelined = opts_.pipeline;
-  rep.predictions.resize(requests.size());
-  rep.outcomes.resize(requests.size());
-
+  const bool scheduled = !opts_.tenants.empty();
   const int num_tenants = int(opts_.tenants.size());
-  std::vector<int> tenant_of(requests.size(), -1);
+  const std::size_t nd = mems_.size();
 
-  // Boundary validation, extended with the tenant-range check. A request
-  // naming a tenant outside the table is rejected and attributed to no
-  // tenant's report.
-  std::vector<std::size_t> valid;
-  valid.reserve(requests.size());
+  // Admission and routing. Invalid requests are rejected per-request, never
+  // handed to the sampler; a tenant table adds the tenant-range check (such
+  // a request is attributed to no tenant's report). Each admitted request
+  // goes to the device owning its first seed, in trace order.
+  std::vector<int> tenant_of(scheduled ? requests.size() : 0, -1);
+  std::vector<std::vector<std::size_t>> routed(nd);
   for (std::size_t r = 0; r < requests.size(); ++r) {
-    const bool tenant_ok =
-        requests[r].tenant >= 0 && requests[r].tenant < num_tenants;
-    if (tenant_ok) tenant_of[r] = requests[r].tenant;
-    std::string err = !tenant_ok
-                          ? "tenant " + std::to_string(requests[r].tenant) +
-                                " out of range [0, " +
-                                std::to_string(num_tenants) + ")"
-                          : serve_detail::validate_request(requests[r], csr_.num_rows);
-    if (err.empty()) {
-      valid.push_back(r);
+    const SeedRequest& req = requests[r];
+    std::string err;
+    if (scheduled && (req.tenant < 0 || req.tenant >= num_tenants)) {
+      err = "tenant " + std::to_string(req.tenant) + " out of range [0, " +
+            std::to_string(num_tenants) + ")";
     } else {
+      if (scheduled) tenant_of[r] = req.tenant;
+      err = validate_request(req, csr_.num_rows);
+    }
+    if (!err.empty()) {
       rep.outcomes[r].status = serve::Status::kRejected;
       rep.outcomes[r].error = std::move(err);
+      continue;
     }
+    routed[sharded() ? std::size_t(shard_map_.owner(req.seeds[0])) : 0]
+        .push_back(r);
   }
 
-  // Feed the scheduler in deterministic arrival order — (arrival, trace
-  // index), so an unsorted trace behaves identically to its sorted self and
-  // the per-tenant queues stay FIFO in arrival order.
-  std::vector<std::size_t> order = valid;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return requests[a].arrival_cycle <
-                            requests[b].arrival_cycle;
-                   });
-  serve::TenantScheduler sched(opts_.tenants, opts_.scheduler,
-                               opts_.batch_size);
-  for (std::size_t r : order) {
-    sched.enqueue(r, requests[r].tenant, requests[r].arrival_cycle);
+  // Tenants share the feature table (and its input width) but each runs its
+  // own architecture; untenanted serving is one implicit tenant.
+  std::vector<serve::TenantSpec> specs = opts_.tenants;
+  if (!scheduled) {
+    specs.emplace_back();
+    specs.back().model_kind = opts_.model_kind;
+    specs.back().fanouts = opts_.fanouts;
   }
-
-  // Per-tenant model configs: tenants share the feature table (and its
-  // input width) but each runs its own architecture.
   std::vector<ModelConfig> cfgs;
-  cfgs.reserve(std::size_t(num_tenants));
-  for (const serve::TenantSpec& t : opts_.tenants) {
+  for (const serve::TenantSpec& t : specs) {
     cfgs.push_back(model_config_for(t.model_kind, in_dim_, ds_->num_classes));
   }
 
@@ -992,78 +813,233 @@ ServingReport InferenceServer::serve_scheduled(
   st.rep = &rep;
   st.ctx.dev = &dev_;
   st.ctx.ledger = &rep.ledger;
-  st.ctx.training = false;
+  st.ctx.training = false;  // dropout is identity at serving time
   st.gather_attempts.assign(requests.size(), 0);
-  if (policy_ == serve::CachePolicy::kClock) {
-    if (!tenant_caches_.empty()) {
-      for (const FeatureCache& c : tenant_caches_) {
-        st.clock_txns.emplace_back(c);
-      }
-    } else {
-      st.clock_txns.emplace_back(cache_);
-    }
-  }
-  st.mem = mem_;
+  st.clock_txns.resize(caches_.size());
+  for (gpusim::DeviceMemory* mem : mems_) mem->reset_peak();
 
-  // Discrete-event decision loop on the serial completion clock: the
-  // scheduler cuts the next batch from what has arrived by `now`, the batch
-  // runs (with its tenant's config; a fault walks the same ladder as the
-  // legacy path, inside the batch's tenant), and the clock advances past
-  // its measured service — recovery time included, which is exactly how a
-  // degraded batch pressures the queues behind it. Pipelined mode replays
-  // the identical committed batch sequence on the overlapped timeline, so
-  // every per-request observable (predictions, status, trace, queue and
-  // service cycles) is mode-invariant by construction.
-  std::uint64_t now = 0;
-  while (std::optional<serve::TenantScheduler::BatchPlan> plan =
-             sched.next_batch(now)) {
-    const std::size_t b = rep.batches.size();
-    rep.batches.emplace_back();
-    {
-      BatchStats& bs = rep.batches[b];
+  // A forward-capable device forwards its own batches; a dedicated sampler
+  // hands off round-robin across the forward-capable devices.
+  const auto forwards = [&](int d) {
+    return !sharded() || opts_.shard.forwards(d);
+  };
+  std::vector<int> fwd_devices;
+  for (int d = 0; d < int(nd); ++d) {
+    if (forwards(d)) fwd_devices.push_back(d);
+  }
+  std::size_t rr = 0;
+  const std::size_t bsz = std::size_t(opts_.batch_size);
+  std::vector<std::vector<std::size_t>> members;  // per batch
+
+  // Per device, in device order: cut its batches and run each through the
+  // ladder in commit order. Execution order does not affect outcomes — the
+  // chaos schedule keys on trace indices, sampling on per-request seeds, and
+  // each cache's CLOCK transaction sees its batches in ascending order.
+  for (int d = 0; d < int(nd); ++d) {
+    std::vector<std::size_t>& q = routed[std::size_t(d)];
+    std::optional<serve::TenantScheduler> sched;
+    if (scheduled) {
+      // Feed the scheduler in deterministic arrival order — (arrival, trace
+      // index), so an unsorted trace behaves identically to its sorted self
+      // and the per-tenant queues stay FIFO in arrival order.
+      std::stable_sort(q.begin(), q.end(), [&](std::size_t a, std::size_t b) {
+        return requests[a].arrival_cycle < requests[b].arrival_cycle;
+      });
+      sched.emplace(opts_.tenants, opts_.scheduler, opts_.batch_size);
+      for (std::size_t r : q) {
+        sched->enqueue(r, requests[r].tenant, requests[r].arrival_cycle);
+      }
+    }
+    std::size_t at = 0;
+    const auto next_batch = [&](std::uint64_t now)
+        -> std::optional<serve::TenantScheduler::BatchPlan> {
+      if (sched) return sched->next_batch(now);
+      if (at >= q.size()) return std::nullopt;
+      serve::TenantScheduler::BatchPlan plan;
+      const std::size_t end = std::min(at + bsz, q.size());
+      plan.members.assign(q.begin() + long(at), q.begin() + long(end));
+      at = end;
+      return plan;
+    };
+
+    // The device's decision clock: the serial completion cycle of its
+    // batches so far. The scheduler cuts the next batch from what has
+    // arrived by `now`, and the clock advances past the batch's measured
+    // service — recovery time included, which is exactly how a degraded
+    // batch pressures the queues behind it.
+    std::uint64_t now = 0;
+    while (std::optional<serve::TenantScheduler::BatchPlan> plan =
+               next_batch(now)) {
+      const std::size_t b = rep.batches.size();
+      const int fwd =
+          forwards(d) ? d : fwd_devices[rr++ % fwd_devices.size()];
+      BatchStats& bs = rep.batches.emplace_back();
       bs.num_requests = int(plan->members.size());
       bs.tenant = plan->tenant;
       bs.release_cycle = plan->cut_cycle;
+      bs.sampler_device = sharded() ? d : -1;
+      bs.forward_device = sharded() ? fwd : -1;
+      st.tenant = &specs[std::size_t(plan->tenant)];
+      st.cfg = &cfgs[std::size_t(plan->tenant)];
+      st.cache = sharded()               ? 1 + std::size_t(d)
+                 : opts_.partition_cache ? 1 + std::size_t(plan->tenant)
+                                         : 0;
+      st.device = d;
+      st.fwd_device = fwd;
+      StageFault fault;
+      if (!try_group(st, plan->members, GroupMode{}, b, &fault)) {
+        recover_batch(st, b, plan->members, fault);
+      }
+      // Sampler -> forward handoff: the sampled topology (row + col + the
+      // local->global map, 4 B each) and the staged feature rows cross
+      // NVLink when the forward runs elsewhere. Charged once per batch from
+      // the accumulated shape counters, so recovery attempts that re-sampled
+      // the batch push their re-staged bytes too.
+      if (fwd != d) {
+        const std::size_t bytes =
+            (2 * std::size_t(bs.num_edges) + std::size_t(bs.num_vertices)) *
+                4 +
+            std::size_t(bs.num_unique_vertices) * std::size_t(in_dim_) * 4;
+        const std::uint64_t cyc = std::uint64_t(
+            std::ceil(double(bytes) / dev_.nvlink_bytes_per_cycle));
+        rep.ledger.add("handoff", cyc);
+        bs.handoff_cycles += cyc;
+        bs.handoff_bytes += bytes;
+      }
+      bs.cycles = bs.sample_cycles + bs.gather.cycles + bs.forward_cycles +
+                  bs.backoff_cycles + bs.handoff_cycles;
+      if (sched) {
+        sched->observe(plan->tenant, bs.num_requests, bs.cycles);
+        now = std::max(now, plan->cut_cycle) + bs.cycles;
+      }
+      members.push_back(std::move(plan->members));
     }
-    st.tenant = &opts_.tenants[std::size_t(plan->tenant)];
-    st.tenant_idx = plan->tenant;
-    st.cfg = &cfgs[std::size_t(plan->tenant)];
-    StageFault fault;
-    if (!try_group(st, plan->members, GroupMode{}, b, &fault)) {
-      recover_batch(st, b, plan->members, fault);
+    if (!sched) continue;
+    rep.peak_queue_depth =
+        std::max(rep.peak_queue_depth, sched->peak_queue_depth());
+    // Requests shed at admission (SchedulerOptions::max_queue_depth /
+    // shed_unmeetable) were never batched: they report kRejected like any
+    // other boundary refusal, with zero queue/service attribution, and tile
+    // with served + degraded + failed in the tenant reports.
+    for (const serve::TenantScheduler::ShedEvent& e : sched->shed_events()) {
+      rep.outcomes[e.index].status = serve::Status::kRejected;
+      rep.outcomes[e.index].error =
+          e.unmeetable ? "shed at admission: estimated service exceeds the "
+                         "tenant SLO even served alone"
+                       : "shed at admission: tenant queue at max_queue_depth";
     }
-    const BatchStats& bs = rep.batches[b];
-    const std::uint64_t service = bs.sample_cycles + bs.gather.cycles +
-                                  bs.forward_cycles + bs.backoff_cycles;
-    const std::uint64_t start = std::max(now, plan->cut_cycle);
-    for (std::size_t idx : plan->members) {
-      serve::RequestOutcome& o = rep.outcomes[idx];
-      const std::uint64_t arrival = requests[idx].arrival_cycle;
-      o.queue_cycles = start > arrival ? start - arrival : 0;
-      o.service_cycles = service;
-    }
-    sched.observe(plan->tenant, int(plan->members.size()), service);
-    now = start + service;
   }
   rep.num_batches = int(rep.batches.size());
-  rep.peak_queue_depth = sched.peak_queue_depth();
 
-  // Requests shed at admission (SchedulerOptions::max_queue_depth /
-  // shed_unmeetable) were never batched: they report kRejected like any
-  // other boundary refusal, with zero queue/service attribution, and tile
-  // with served + degraded + failed in the tenant reports.
-  for (const serve::TenantScheduler::ShedEvent& e : sched.shed_events()) {
-    rep.outcomes[e.index].status = serve::Status::kRejected;
-    rep.outcomes[e.index].error =
-        e.unmeetable ? "shed at admission: estimated service exceeds the "
-                       "tenant SLO even served alone"
-                     : "shed at admission: tenant queue at max_queue_depth";
+  // Placement: backoff waits ride each batch's sample (host) span and the
+  // outbound handoff its gather span, so Sigma exposed + idle == makespan
+  // holds under recovery and arrival gaps alike.
+  std::vector<BatchStageCycles> stages;
+  stages.reserve(rep.batches.size());
+  for (const BatchStats& bs : rep.batches) {
+    stages.push_back({bs.sample_cycles + bs.backoff_cycles,
+                      bs.gather.cycles + bs.handoff_cycles, bs.forward_cycles,
+                      bs.release_cycle, std::max(bs.sampler_device, 0),
+                      std::max(bs.forward_device, 0)});
   }
-
-  fold_timeline(rep, opts_.pipeline);
-  rep.tenants =
-      serve::make_tenant_reports(opts_.tenants, tenant_of, rep.outcomes);
+  fold(rep, place_batches(stages, int(nd), opts_.pipeline), members,
+       requests);
+  if (scheduled) {
+    rep.tenants =
+        serve::make_tenant_reports(opts_.tenants, tenant_of, rep.outcomes);
+  }
   return rep;
+}
+
+void InferenceServer::fold(
+    ServingReport& rep, const std::vector<StreamTimeline>& tls,
+    const std::vector<std::vector<std::size_t>>& members,
+    std::span<const SeedRequest> requests) const {
+  const std::size_t nb = rep.batches.size();
+  if (sharded()) rep.devices.resize(tls.size());
+
+  // The report-level timeline concatenates the per-device schedules in
+  // device order; spans carry their batch and stream ids.
+  std::vector<std::uint64_t> sample_start(nb, 0), fwd_end(nb, 0);
+  for (std::size_t d = 0; d < tls.size(); ++d) {
+    std::uint64_t exposed = 0;
+    for (const StageSpan& span : tls[d].spans()) {
+      rep.timeline.push_back(span);
+      StageSplit& split = span.stream == kSampleStream   ? rep.sample_split
+                          : span.stream == kGatherStream ? rep.gather_split
+                                                         : rep.forward_split;
+      split.cycles += span.cycles();
+      split.exposed += span.exposed;
+      split.overlapped += span.overlapped;
+      exposed += span.exposed;
+      if (span.stream == kSampleStream) {
+        sample_start[std::size_t(span.batch)] = span.start;
+      } else if (span.stream == kForwardStream) {
+        fwd_end[std::size_t(span.batch)] = span.end;
+      }
+    }
+    rep.total_cycles = std::max(rep.total_cycles, tls[d].makespan());
+    rep.idle_cycles += tls[d].idle_cycles();
+    if (!sharded()) continue;
+    serve::DeviceShardReport& dr = rep.devices[d];
+    dr.device = int(d);
+    dr.role = opts_.shard.role(int(d));
+    dr.makespan = tls[d].makespan();
+    dr.exposed_cycles = exposed;
+    dr.idle_cycles = tls[d].idle_cycles();
+    dr.peak_bytes = mems_[d]->peak();
+    dr.cache_bytes = shard_cache(int(d)).device_bytes();
+  }
+  rep.serial_cycles = rep.ledger.total();
+
+  for (std::size_t b = 0; b < nb; ++b) {
+    BatchStats& bs = rep.batches[b];
+    bs.latency_cycles = fwd_end[b] - sample_start[b];
+    rep.sample_cycles += bs.sample_cycles;
+    rep.gather_cycles += bs.gather.cycles;
+    rep.forward_cycles += bs.forward_cycles;
+    rep.backoff_cycles += bs.backoff_cycles;
+    rep.fault_events += bs.fault_events;
+    rep.max_batch_cycles = std::max(rep.max_batch_cycles, bs.latency_cycles);
+    rep.cache_hits += bs.gather.hits;
+    rep.cache_misses += bs.gather.misses;
+    rep.cache_evictions += bs.gather.evictions;
+    rep.cache_hit_bytes += bs.gather.hit_bytes;
+    rep.cache_miss_bytes += bs.gather.miss_bytes;
+    rep.cache_insert_bytes += bs.gather.insert_bytes;
+    rep.remote_hits += bs.gather.remote_hits;
+    rep.remote_misses += bs.gather.remote_misses;
+    rep.remote_hit_bytes += bs.gather.remote_hit_bytes;
+    rep.remote_miss_bytes += bs.gather.remote_miss_bytes;
+    rep.handoff_bytes += bs.handoff_bytes;
+    if (sharded()) {
+      serve::DeviceShardReport& s = rep.devices[std::size_t(bs.sampler_device)];
+      ++s.sampled_batches;
+      s.sample_cycles += bs.sample_cycles + bs.backoff_cycles;
+      s.gather_cycles += bs.gather.cycles + bs.handoff_cycles;
+      s.colocation_cycles += bs.colocation_sample_cycles;
+      s.hit_bytes += bs.gather.hit_bytes;
+      s.miss_bytes += bs.gather.miss_bytes;
+      s.remote_hit_bytes += bs.gather.remote_hit_bytes;
+      s.remote_miss_bytes += bs.gather.remote_miss_bytes;
+      s.handoff_bytes += bs.handoff_bytes;
+      serve::DeviceShardReport& f = rep.devices[std::size_t(bs.forward_device)];
+      ++f.forward_batches;
+      f.forward_cycles += bs.forward_cycles;
+      f.colocation_cycles += bs.colocation_forward_cycles;
+    }
+    // Queue/service attribution against the placed schedule: a request
+    // queued from its arrival_cycle (0 closed-loop) until its batch's sample
+    // span started, and was served until its forward ended. Rejected
+    // requests keep 0/0.
+    for (std::size_t idx : members[b]) {
+      serve::RequestOutcome& o = rep.outcomes[idx];
+      const std::uint64_t arrival = requests[idx].arrival_cycle;
+      o.queue_cycles =
+          sample_start[b] > arrival ? sample_start[b] - arrival : 0;
+      o.service_cycles = fwd_end[b] - sample_start[b];
+    }
+  }
 }
 
 }  // namespace gnnone

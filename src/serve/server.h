@@ -1,4 +1,4 @@
-// Request-batching GNN inference driver.
+// Request-batching GNN inference server.
 //
 // The serving regime the FGNN/SamGraph line of work targets: requests name
 // seed vertices, the server groups them into minibatches, samples each
@@ -26,13 +26,25 @@
 // forward runs with training = false, so equal (dataset, requests, options)
 // produce byte-identical reports.
 //
-// Pipelined mode (opts.pipeline) stages batches through a three-slot
-// software pipeline — sample and gather of batch b+1 overlap with the
-// forward of batch b — and reports cycles against the per-stream timeline
-// model in serve/pipeline.h: total_cycles is the timeline makespan, each
-// stage's cycles split into exposed vs overlapped, and a batch's latency is
-// its critical path through the schedule. Predictions and the cycle ledger
-// are bit-identical to serial mode; only the cycle composition changes.
+// One executor serves every configuration (docs/SERVING.md §4): it admits
+// each request once, routes it to a device (the owner of its first seed when
+// sharded, else device 0), cuts each device's batches — fixed batch_size
+// chunks in trace order, or with a tenant table that device's
+// TenantScheduler on its own decision clock — runs each batch through the
+// degradation ladder below, and places the measured stage spans on one
+// StreamTimeline per device (serve/pipeline.h's place_batches), serial or
+// pipelined. Tenants, pipelining, sharding and an external device_memory
+// therefore compose; only partition_cache with shard is rejected.
+//
+// Pipelined mode (opts.pipeline) changes placement only: sample and gather
+// of batch b+1 overlap with the forward of batch b on each device's three
+// streams, total_cycles is the slowest device's makespan, each stage's
+// cycles split into exposed vs overlapped, and a batch's latency is its
+// critical path through the schedule. Predictions and the cycle ledger are
+// bit-identical to serial mode. Under a tenant scheduler pipelining changes
+// no modeled number today: each batch's release is its serial
+// decision-clock start, so no two batches ever overlap.
+//
 // Fault tolerance (docs/ROBUSTNESS.md): every request carries a
 // serve::Status outcome in the report instead of a fault aborting the run.
 // When a stage throws — a DeviceMemory OOM, a transient PCIe-fetch fault
@@ -85,9 +97,10 @@ struct ServeOptions {
   /// a default uniform probe derived from `seed`
   /// (serve::default_presample_probe).
   std::vector<SeedRequest> presample_probe;
-  /// Scheduled serving only: give each tenant its own cache partition sized
-  /// by TenantSpec::cache_share (largest-remainder split of the alpha
-  /// capacity; all-zero shares split equally) instead of one shared cache.
+  /// Scheduled serving only (and not with shard): give each tenant its own
+  /// cache partition sized by TenantSpec::cache_share (largest-remainder
+  /// split of the alpha capacity; all-zero shares split equally) instead of
+  /// one shared cache.
   /// Partition capacities sum exactly to the shared capacity, so the device
   /// byte budget is unchanged.
   bool partition_cache = false;
@@ -99,15 +112,18 @@ struct ServeOptions {
   /// ownership; may be null) and whether to tune cache misses on the spot.
   const tune::TuningCache* tuning_cache = nullptr;
   bool online_tune = false;
-  /// Software-pipelined serving: overlap sample+gather of batch b+1 with
-  /// forward of batch b (serve/pipeline.h). Off = the serial driver.
-  /// Predictions are bit-identical either way.
+  /// Software-pipelined placement: overlap sample+gather of batch b+1 with
+  /// forward of batch b on each device (serve/pipeline.h). Off = every
+  /// device runs one stage at a time. Predictions are bit-identical either
+  /// way; under a tenant scheduler no modeled number changes (header
+  /// comment).
   bool pipeline = false;
   /// External device-memory tracker: the pinned cache and every per-batch
   /// staging allocation are charged against it, so injected faults
   /// (fail_at_allocation / fail_above) drive the serving OOM paths
   /// deterministically and tests can assert nothing leaks across a serve.
-  /// Null = a private tracker sized to the device.
+  /// Sharded serving charges it as device 0's tracker. Null = a private
+  /// tracker sized to the device.
   gpusim::DeviceMemory* device_memory = nullptr;
   /// Degradation-ladder retry/backoff policy.
   serve::RetryPolicy retry;
@@ -118,19 +134,20 @@ struct ServeOptions {
   /// SeedRequest::tenant indexes this table, batches are formed per tenant
   /// by `scheduler.policy` from the requests' arrival cycles, each batch
   /// runs its tenant's model_kind/fanouts (batch_size stays the global max),
-  /// and the report gains per-tenant TenantReports. Empty (the default)
-  /// keeps the legacy single-tenant closed-loop driver bit for bit.
+  /// and the report gains per-tenant TenantReports. Sharded, each device
+  /// schedules the requests routed to it. Empty (the default) cuts fixed
+  /// batch_size chunks in trace order, ignoring SeedRequest::tenant and
+  /// arrival_cycle.
   std::vector<serve::TenantSpec> tenants;
   /// Batch-formation policy for the multi-tenant path (ignored otherwise).
   serve::SchedulerOptions scheduler;
   /// Sharded multi-device serving (docs/SERVING.md §10): shard.num_devices
   /// > 0 partitions graph + feature table across N simulated devices
   /// (serve/shard.h) and routes each request to the device owning its first
-  /// seed. Mutually exclusive with `tenants` and an external
-  /// `device_memory` for now (each shard owns its own tracker); predictions
-  /// stay bit-identical to the unsharded driver at every shard count and
-  /// role assignment (GIN excepted — its vcolnorm is batch-coupled, and
-  /// sharding regroups batches).
+  /// seed. Composes with tenants and pipeline; predictions stay
+  /// bit-identical to unsharded serving at every shard count and role
+  /// assignment (GIN excepted — its vcolnorm is batch-coupled, and sharding
+  /// regroups batches).
   serve::ShardOptions shard;
 
   /// Throws std::invalid_argument on out-of-range options (unknown
@@ -138,11 +155,10 @@ struct ServeOptions {
   /// outside [0, 1], negative feature_dim_override, chaos rates outside
   /// [0, 1], negative retry budget, a tenant with an unknown model_kind /
   /// empty or non-positive fanouts / slo_cycles < 1 / negative cache_share,
-  /// negative presample_epochs, partition_cache without tenants, scheduler
-  /// options out of range). The standalone sampler treats a fanout <= 0 as
-  /// "take every
-  /// neighbor"; serving rejects it — an unbounded neighborhood has no place
-  /// in a latency-bounded tier.
+  /// negative presample_epochs, partition_cache without tenants or with
+  /// shard, scheduler or shard options out of range). The standalone
+  /// sampler treats a fanout <= 0 as "take every neighbor"; serving rejects
+  /// it — an unbounded neighborhood has no place in a latency-bounded tier.
   void Validate() const;
 };
 
@@ -197,11 +213,11 @@ struct BatchStats {
   /// Serial mode: equals `cycles`. Pipelined: can exceed `cycles` when the
   /// batch waits on a stream held by its neighbors.
   std::uint64_t latency_cycles = 0;
-  /// Tenant the batch belongs to (scheduled serving; 0 on the legacy path —
-  /// a batch never mixes tenants).
+  /// Tenant the batch belongs to (scheduled serving; 0 without a tenant
+  /// table — a batch never mixes tenants).
   int tenant = 0;
-  /// Earliest cycle the batch could start (the scheduler's cut cycle; 0 on
-  /// the legacy closed-loop path).
+  /// Earliest cycle the batch could start (the scheduler's cut cycle; 0
+  /// without a tenant table).
   std::uint64_t release_cycle = 0;
 };
 
@@ -247,17 +263,18 @@ struct ServingReport {
   /// schedule.
   std::uint64_t idle_cycles = 0;
   /// Per-tenant latency/SLO aggregates (multi-tenant scheduled serving;
-  /// empty on the legacy path). Latencies are quoted on the scheduler's
-  /// decision clock — the serial execution order batches were committed in —
-  /// so they are identical in serial and pipelined mode, like every other
-  /// per-request observable.
+  /// empty without a tenant table). Latencies come from the placed
+  /// timeline, which on one device equals the scheduler's decision clock —
+  /// the serial execution order batches were committed in — in serial and
+  /// pipelined mode alike.
   std::vector<serve::TenantReport> tenants;
   /// Scheduled serving: the largest arrived-but-unserved backlog any tenant
-  /// queue reached — what SchedulerOptions::max_queue_depth bounds.
+  /// queue (on any device) reached — what SchedulerOptions::max_queue_depth
+  /// bounds.
   std::size_t peak_queue_depth = 0;
 
-  /// Sharded serving (docs/SERVING.md §10; empty on the single-device
-  /// path): per-device stage/traffic/memory accounting. total_cycles is the
+  /// Sharded serving (docs/SERVING.md §10; empty unsharded): per-device
+  /// stage/traffic/memory accounting. total_cycles is the
   /// slowest device's makespan; Σ exposed + idle == makespan holds exactly
   /// per device.
   std::vector<serve::DeviceShardReport> devices;
@@ -276,10 +293,12 @@ struct ServingReport {
   std::size_t handoff_bytes = 0;
 
   std::vector<BatchStats> batches;
-  /// The full schedule, batch-major: span 3 * b + stream (serve/pipeline.h
-  /// stream ids). Serial runs get the chained schedule. A batch's sample
-  /// span carries its backoff cycles too (host-side waiting), which keeps
-  /// Sigma exposed == makespan exact under recovery.
+  /// The full schedule: the per-device timelines concatenated in device
+  /// order, each in commit order (serve/pipeline.h's place_batches). One
+  /// device is batch-major: span 3 * b + stream. A batch's sample span
+  /// carries its backoff cycles too (host-side waiting), its gather span the
+  /// outbound handoff, which keeps Sigma exposed + idle == makespan exact
+  /// under recovery.
   std::vector<StageSpan> timeline;
   CycleLedger ledger;  // cycles by stage/kernel tag (+ "backoff")
   MemoryLedger bytes;  // gather traffic by hit/miss tag
@@ -330,58 +349,58 @@ class InferenceServer {
   InferenceServer(const Dataset& ds, const gpusim::DeviceSpec& dev,
                   const ServeOptions& opts);
 
-  const FeatureCache& cache() const { return cache_; }
+  /// The shared cache (empty when partitioned or sharded: the partitions
+  /// own the rows).
+  const FeatureCache& cache() const { return caches_.front(); }
   /// The concrete policy serving runs under — ServeOptions::cache_policy
   /// with kAuto resolved against the tuning cache at construction.
   serve::CachePolicy cache_policy() const { return policy_; }
   /// Whether scheduled serving gathers through per-tenant partitions.
-  bool partitioned() const { return !tenant_caches_.empty(); }
+  bool partitioned() const { return opts_.partition_cache; }
   /// Tenant t's cache partition (partitioned() must hold).
   const FeatureCache& tenant_cache(int t) const {
-    return tenant_caches_[std::size_t(t)];
+    return caches_[1 + std::size_t(t)];
   }
-  /// Device bytes across the shared cache and every partition — what sits
-  /// in use between serves.
+  /// Device bytes across every cache and partition on every device — what
+  /// sits in use between serves.
   std::size_t cache_device_bytes() const {
-    std::size_t total = cache_.device_bytes();
-    for (const FeatureCache& c : tenant_caches_) total += c.device_bytes();
+    std::size_t total = 0;
+    for (const FeatureCache& c : caches_) total += c.device_bytes();
     return total;
   }
   /// The tracker serving allocations are charged to (the external one when
-  /// ServeOptions::device_memory was set, else the private one). Between
-  /// serves exactly the pinned cache bytes are in use — the chaos harness's
-  /// leak check.
-  gpusim::DeviceMemory& device_memory() const { return *mem_; }
+  /// ServeOptions::device_memory was set, else the private one; device 0's
+  /// when sharded). Between serves exactly the pinned cache bytes are in
+  /// use — the chaos harness's leak check.
+  gpusim::DeviceMemory& device_memory() const { return *mems_.front(); }
 
   /// Whether ServeOptions::shard split this server across devices.
-  bool sharded() const { return !shard_mems_.empty(); }
-  int shard_devices() const { return int(shard_mems_.size()); }
+  bool sharded() const { return opts_.shard.enabled(); }
+  int shard_devices() const { return sharded() ? int(mems_.size()) : 0; }
   /// The edge-cut vertex partition (sharded() must hold).
   const serve::ShardMap& shard_map() const { return shard_map_; }
   /// Device d's cache partition: the globally pinned rows it owns (empty on
   /// a forward-only device).
   const FeatureCache& shard_cache(int d) const {
-    return shard_caches_[std::size_t(d)];
+    return caches_[1 + std::size_t(d)];
   }
   /// Device d's memory tracker. Between serves exactly the device's pinned
   /// cache bytes are in use — the per-device leak check.
   gpusim::DeviceMemory& shard_memory(int d) const {
-    return *shard_mems_[std::size_t(d)];
+    return *mems_[std::size_t(d)];
   }
 
-  /// Runs every request, batching opts.batch_size at a time (the final
-  /// batch may be smaller). Invalid requests (empty seed set, out-of-range
-  /// or duplicated seed ids, a tenant index outside the tenant table) are
-  /// rejected per-request at the boundary; a stage fault is contained to
-  /// its minibatch and recovered through the degradation ladder (header
-  /// comment). Never throws for a fault on the serving path; deterministic
-  /// for equal inputs, and per-request predictions are invariant to
-  /// batching.
-  ///
-  /// With ServeOptions::tenants set, batches are instead formed by the
-  /// tenant scheduler from the requests' arrival cycles (open-loop), each
-  /// batch runs its tenant's config, and every outcome carries exact
-  /// queue/service attribution on the scheduler's decision clock.
+  /// Runs every request through the one executor (header comment). Invalid
+  /// requests (empty seed set, out-of-range or duplicated seed ids, a
+  /// tenant index outside a non-empty tenant table) are rejected
+  /// per-request at the boundary; a stage fault is contained to its
+  /// minibatch and recovered through the degradation ladder. Never throws
+  /// for a fault on the serving path; deterministic for equal inputs, and
+  /// per-request predictions are invariant to batching. Every outcome
+  /// carries queue/service cycles from the placed timeline: queue from the
+  /// request's arrival_cycle to its batch's sample start, service from
+  /// there to its forward's end. Resets each device tracker's peak, so
+  /// DeviceShardReport::peak_bytes is this serve's own high-water mark.
   ServingReport serve(std::span<const SeedRequest> requests) const;
 
  private:
@@ -397,7 +416,7 @@ class InferenceServer {
     serve::ChaosSite site = serve::ChaosSite::kSample;
     std::string message;
   };
-  struct ServeState;     // per-serve scratch (serve/server_state.h)
+  struct ServeState;     // per-serve scratch (server.cc)
   struct PreparedGroup;  // sampled + gathered, awaiting its forward pass
 
   PreparedGroup prepare_group(ServeState& st,
@@ -410,8 +429,6 @@ class InferenceServer {
   /// counts the event against batch b, and returns false.
   bool try_group(ServeState& st, const std::vector<std::size_t>& indices,
                  GroupMode mode, std::size_t b, StageFault* fault) const;
-  bool forward_or_fault(ServeState& st, const PreparedGroup& pg,
-                        StageFault* fault) const;
   /// Walks the ladder for a faulted batch: whole-batch retries w/ backoff,
   /// bisection to singletons, then the per-request degraded rungs.
   void recover_batch(ServeState& st, std::size_t b,
@@ -423,24 +440,22 @@ class InferenceServer {
                         StageFault fault, int attempt_base) const;
   bool arms_oom(const std::vector<std::size_t>& indices, GroupMode mode,
                 serve::ChaosSite site) const;
-  /// The multi-tenant open-loop driver behind serve() (tenants non-empty):
-  /// scheduler-formed batches on a discrete-event decision clock.
-  ServingReport serve_scheduled(std::span<const SeedRequest> requests) const;
-  /// The sharded multi-device driver behind serve() (shard.num_devices > 0;
-  /// serve/shard.cc): requests routed to owner devices, per-device batches,
-  /// factored or symmetric roles, one three-stream timeline per device.
-  ServingReport serve_sharded(std::span<const SeedRequest> requests) const;
-  /// The sharded gather (serve/shard.cc): splits the batch's unique
-  /// vertices by owner against the per-device cache partitions, charging
-  /// local hits at DRAM, local/remote misses at PCIe and peer-pinned rows
-  /// at NVLink. Fault probes fire first, exactly like FeatureCache::gather.
-  GatherStats sharded_gather(ServeState& st,
-                             std::span<const vid_t> unique_vertices,
-                             std::span<const GatherProbe> probes,
-                             GroupMode mode, std::size_t b) const;
-  /// Colocation-dilation surcharge for stage cycles on device `device`
-  /// (serve/shard.cc): 0 unless sharded and the device is kSymmetric.
+  /// The gather stage: fault probes fire first, then the batch's unique
+  /// vertices go through the active cache. Sharded, they split by owner:
+  /// local rows through the sampler device's partition, peer-pinned rows
+  /// over NVLink and peer-unpinned rows over PCIe.
+  GatherStats gather(ServeState& st, std::span<const vid_t> unique_vertices,
+                     std::span<const GatherProbe> probes, GroupMode mode,
+                     std::size_t b) const;
+  /// Colocation-dilation surcharge for stage cycles on `device`: 0 unless
+  /// sharded and the device is kSymmetric.
   std::uint64_t colocation_extra(int device, std::uint64_t cycles) const;
+  /// Folds the placed per-device timelines into the report: totals from
+  /// BatchStats, per-device reports (sharded), batch latencies, and each
+  /// member's queue/service cycles (members[b] = batch b's trace indices).
+  void fold(ServingReport& rep, const std::vector<StreamTimeline>& tls,
+            const std::vector<std::vector<std::size_t>>& members,
+            std::span<const SeedRequest> requests) const;
 
   /// kAuto resolution at construction: consult the tuning cache's serve
   /// table (exact signature, then nearest) for this workload; degree when
@@ -449,12 +464,15 @@ class InferenceServer {
                                            const gpusim::DeviceSpec& dev,
                                            const ServeOptions& opts,
                                            int in_dim);
-  /// The shared cache (empty when partitioning: the partitions own the
-  /// rows). Runs the presample warmup when the policy asks for it.
-  static FeatureCache make_cache(const Dataset& ds,
-                                 const gpusim::DeviceSpec& dev,
-                                 const ServeOptions& opts, int in_dim,
-                                 const Csr& csr, serve::CachePolicy policy);
+  /// The ranking a cache pins from: the presample frequency order of
+  /// `probe` under `fanouts` for kPresampleFrequency, the degree order
+  /// otherwise.
+  std::vector<vid_t> pin_order(std::span<const SeedRequest> probe,
+                               const std::vector<int>& fanouts) const;
+  /// Appends a cache pinning the first `capacity` rows of `order` (the
+  /// degree order when empty) and registers its bytes on `device`'s
+  /// tracker.
+  void add_cache(int device, vid_t capacity, std::span<const vid_t> order);
 
   const Dataset* ds_;
   gpusim::DeviceSpec dev_;  // by value: binding a caller temporary is legal
@@ -462,27 +480,21 @@ class InferenceServer {
   int in_dim_;
   Csr csr_;                     // sampling topology
   serve::CachePolicy policy_;   // concrete (kAuto resolved)
-  FeatureCache cache_;
-  /// Per-tenant partitions (ServeOptions::partition_cache): index = tenant.
-  std::vector<FeatureCache> tenant_caches_;
   std::vector<float> features_;  // full n x in_dim host-side feature table
-  std::unique_ptr<gpusim::DeviceMemory> owned_mem_;  // when none was passed
-  gpusim::DeviceMemory* mem_;
-  gpusim::DeviceAllocation cache_alloc_;  // the pinned cache's device bytes
-  /// Device registrations of the per-tenant partitions (aligned with
-  /// tenant_caches_).
-  std::vector<gpusim::DeviceAllocation> tenant_cache_allocs_;
-
-  // --- sharded serving (ServeOptions::shard; serve/shard.cc) --------------
-  /// Vertex -> owner device over contiguous degree-order ranges.
+  /// Per-device memory trackers (one device unsharded); device 0's is the
+  /// external ServeOptions::device_memory when set.
+  std::vector<std::unique_ptr<gpusim::DeviceMemory>> owned_mems_;
+  std::vector<gpusim::DeviceMemory*> mems_;
+  /// Vertex -> owner device over contiguous degree-order ranges (sharded).
   serve::ShardMap shard_map_;
-  /// Per-device cache partitions, index = device id. Device d pins exactly
-  /// the globally pinned rows it owns (so per-vertex hit/miss membership is
-  /// identical to the unsharded cache); forward-only devices pin nothing.
-  std::vector<FeatureCache> shard_caches_;
-  /// Per-device memory trackers + the partitions' resident registrations.
-  std::vector<std::unique_ptr<gpusim::DeviceMemory>> shard_mems_;
-  std::vector<gpusim::DeviceAllocation> shard_cache_allocs_;
+  /// Every cache the server pins: [0] the shared cache, then one partition
+  /// per tenant (partition_cache) or per device (sharded). Device d's
+  /// partition pins exactly the globally pinned rows it owns (so per-vertex
+  /// hit/miss membership is identical to the unsharded cache); forward-only
+  /// devices pin nothing.
+  std::vector<FeatureCache> caches_;
+  /// The caches' resident registrations on their devices' trackers.
+  std::vector<gpusim::DeviceAllocation> cache_allocs_;
 };
 
 }  // namespace gnnone

@@ -1,41 +1,10 @@
-// Sharded multi-device serving (serve/shard.h; docs/SERVING.md §10).
-//
-// Two translation units make up the serving driver: server.cc owns the
-// single-device and scheduled paths plus the shared attempt machinery
-// (prepare_group / forward_group / the recovery ladder), and this file owns
-// everything sharding adds on top — the vertex partition, the sharded
-// gather's local/remote split, and the multi-device driver with its
-// per-device three-stream timelines.
-//
-// Scheduling model. Each batch contributes two device work items: PREP
-// (sample + gather + outbound handoff, on the batch's owner device) and FWD
-// (the forward pass, on its assigned forward device). A device executes its
-// items serially — one simulated GPU does not time-slice stages — and picks,
-// whenever it is free, the ready item with the smallest batch id; devices
-// run concurrently against a shared clock. Items are committed globally in
-// nondecreasing start order, which makes the per-stream span sequences
-// time-ordered and the whole schedule deterministic. At one symmetric
-// device this degenerates to exactly the unsharded serial chain
-// (sample -> gather -> forward -> next batch), which is what the shards=1
-// equality test pins.
-
 #include "serve/shard.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "serve/chaos.h"
-#include "serve/server.h"
-#include "serve/server_state.h"
-
-namespace gnnone {
-
-namespace serve {
+namespace gnnone::serve {
 
 const char* shard_role_name(ShardRole r) {
   switch (r) {
@@ -122,401 +91,4 @@ vid_t ShardMap::owned_count(int device) const {
   return 0;
 }
 
-}  // namespace serve
-
-std::uint64_t InferenceServer::colocation_extra(int device,
-                                                std::uint64_t cycles) const {
-  if (device < 0 || !sharded()) return 0;
-  if (opts_.shard.role(device) != serve::ShardRole::kSymmetric) return 0;
-  return std::uint64_t(
-      std::llround((opts_.shard.colocation_dilation - 1.0) * double(cycles)));
-}
-
-GatherStats InferenceServer::sharded_gather(
-    ServeState& st, std::span<const vid_t> unique_vertices,
-    std::span<const GatherProbe> probes, GroupMode mode,
-    std::size_t b) const {
-  // Mirror FeatureCache::gather's boundary behaviour exactly: an empty
-  // vertex span is a no-op (no launch, no fault probe), and the fault check
-  // fires before any cycle or byte is charged. The check lives *here*, not
-  // in the per-device caches, so a request's (key, attempt) coordinate is
-  // probed exactly once per gather attempt no matter how its vertices split
-  // between local and remote owners — chaos outcomes are shard-layout
-  // invariant.
-  if (unique_vertices.empty()) return {};
-  if (opts_.chaos.fetch_rate > 0.0) {
-    for (const GatherProbe& p : probes) {
-      const serve::FetchFate f = serve::fetch_fate(
-          opts_.chaos.fetch_rate, opts_.chaos.seed, p.key);
-      if (f.poisoned && p.attempt < f.failing_attempts) {
-        throw TransientFetchError(p.key, p.attempt + 1);
-      }
-    }
-  }
-
-  ServingReport& rep = *st.rep;
-  const int dev = st.shard_device;
-  const FeatureCache& fc = shard_caches_[std::size_t(dev)];
-  const std::size_t row = fc.row_bytes();
-
-  GatherStats gst;
-  std::vector<vid_t> local;
-  local.reserve(unique_vertices.size());
-  for (vid_t v : unique_vertices) {
-    const int owner = shard_map_.owner(v);
-    if (owner == dev) {
-      local.push_back(v);
-      continue;
-    }
-    // Remote rows: the owner's pinned copy streams over NVLink; anything
-    // the owner does not pin is refetched from the host over PCIe. Under
-    // kClock the remote lookup consults the owner's *seeded* membership
-    // (FeatureCache::cached) — a peer's in-flight CLOCK hand is not
-    // observable across the link, so only the static resident set is.
-    // Safe mode (cache bypass) refuses peers too: every row crosses PCIe.
-    if (!mode.safe && shard_caches_[std::size_t(owner)].cached(v)) {
-      ++gst.remote_hits;
-      gst.remote_hit_bytes += row;
-    } else {
-      ++gst.remote_misses;
-      gst.remote_miss_bytes += row;
-    }
-  }
-
-  // Local rows go through the owner's cache partition with the full policy
-  // machinery — per-device CLOCK transactions included. Probes were checked
-  // above, so none are passed down (a fate must never be probed twice per
-  // attempt).
-  FeatureCache::ClockGatherCtx clock;
-  if (policy_ == serve::CachePolicy::kClock && !st.clock_txns.empty()) {
-    clock.txn = &st.clock_txns[std::size_t(dev)];
-    clock.batch = std::int64_t(b);
-    clock.commit =
-        !mode.truncated && !mode.safe &&
-        probes.size() == std::size_t(rep.batches[b].num_requests);
-  }
-  GatherStats local_st;
-  if (!local.empty()) {
-    local_st = fc.gather(local, &rep.ledger, &rep.bytes,
-                         std::span<const GatherProbe>(), mode.safe, clock);
-  }
-  gst.hits = local_st.hits;
-  gst.misses = local_st.misses;
-  gst.evictions = local_st.evictions;
-  gst.hit_bytes = local_st.hit_bytes;
-  gst.miss_bytes = local_st.miss_bytes;
-  gst.insert_bytes = local_st.insert_bytes;
-
-  // Remote traffic and the launch make-up: the local gather charged its own
-  // launch + DRAM/PCIe spans, or nothing at all when every row was remote —
-  // in which case the one launch this batch's gather still issues is
-  // charged here, so every non-empty gather costs exactly one launch
-  // regardless of the local/remote split.
-  const std::uint64_t remote_cycles =
-      std::uint64_t(std::ceil(double(gst.remote_hit_bytes) /
-                              dev_.nvlink_bytes_per_cycle)) +
-      std::uint64_t(std::ceil(double(gst.remote_miss_bytes) /
-                              dev_.pcie_bytes_per_cycle));
-  const std::uint64_t extra = remote_cycles + (local.empty() ? 2000 : 0);
-  if (extra > 0) rep.ledger.add("feature_gather", extra);
-  if (gst.remote_hit_bytes > 0) {
-    rep.bytes.add("feature_remote_hit", gst.remote_hit_bytes);
-  }
-  if (gst.remote_miss_bytes > 0) {
-    rep.bytes.add("feature_remote_miss", gst.remote_miss_bytes);
-  }
-  gst.cycles = local_st.cycles + extra;
-  return gst;
-}
-
-ServingReport InferenceServer::serve_sharded(
-    std::span<const SeedRequest> requests) const {
-  ServingReport rep;
-  rep.num_requests = int(requests.size());
-  rep.pipelined = false;
-  rep.predictions.resize(requests.size());
-  rep.outcomes.resize(requests.size());
-
-  // Boundary validation, identical to the single-device driver.
-  std::vector<std::size_t> valid;
-  valid.reserve(requests.size());
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    std::string err =
-        serve_detail::validate_request(requests[r], csr_.num_rows);
-    if (err.empty()) {
-      valid.push_back(r);
-    } else {
-      rep.outcomes[r].status = serve::Status::kRejected;
-      rep.outcomes[r].error = std::move(err);
-    }
-  }
-
-  // Route each admitted request to the device owning its first seed (the
-  // request's anchor vertex; validation guarantees seeds are non-empty).
-  // Trace order is preserved within a device, so a device's batch sequence
-  // is exactly what the unsharded driver would form from the subsequence it
-  // owns — and at one shard the whole trace lands on device 0 in order.
-  const int nd = opts_.shard.num_devices;
-  const std::size_t ndd = std::size_t(nd);
-  std::vector<std::vector<std::size_t>> routed(ndd);
-  for (std::size_t r : valid) {
-    const int owner = shard_map_.owner(requests[r].seeds[0]);
-    routed[std::size_t(owner)].push_back(r);
-  }
-
-  // Batch per device, batches laid out device-major. Forward assignment: a
-  // forward-capable owner keeps its own batches (no handoff); a dedicated
-  // sampler hands off round-robin across the forward-capable devices.
-  std::vector<int> fwd_devices;
-  for (int d = 0; d < nd; ++d) {
-    if (opts_.shard.forwards(d)) fwd_devices.push_back(d);
-  }
-  struct ShardBatch {
-    int sampler = 0;
-    int forward = 0;
-    std::vector<std::size_t> members;
-  };
-  std::vector<ShardBatch> plan;
-  const std::size_t bsz = std::size_t(opts_.batch_size);
-  std::size_t rr = 0;  // round-robin cursor over fwd_devices
-  for (int d = 0; d < nd; ++d) {
-    const std::vector<std::size_t>& q = routed[std::size_t(d)];
-    for (std::size_t at = 0; at < q.size(); at += bsz) {
-      ShardBatch sb;
-      sb.sampler = d;
-      sb.forward = opts_.shard.forwards(d)
-                       ? d
-                       : fwd_devices[rr++ % fwd_devices.size()];
-      sb.members.assign(q.begin() + long(at),
-                        q.begin() + long(std::min(at + bsz, q.size())));
-      plan.push_back(std::move(sb));
-    }
-  }
-  const std::size_t nb = plan.size();
-  rep.num_batches = int(nb);
-  rep.batches.resize(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    rep.batches[b].num_requests = int(plan[b].members.size());
-    rep.batches[b].sampler_device = plan[b].sampler;
-    rep.batches[b].forward_device = plan[b].forward;
-  }
-
-  const ModelConfig cfg =
-      model_config_for(opts_.model_kind, in_dim_, ds_->num_classes);
-
-  ServeState st;
-  st.requests = requests;
-  st.rep = &rep;
-  st.cfg = &cfg;
-  st.ctx.dev = &dev_;
-  st.ctx.ledger = &rep.ledger;
-  st.ctx.training = false;
-  st.gather_attempts.assign(requests.size(), 0);
-  if (policy_ == serve::CachePolicy::kClock) {
-    for (const FeatureCache& c : shard_caches_) {
-      st.clock_txns.emplace_back(c);  // index == device id
-    }
-  }
-
-  // Execute every batch (device-major order). Execution order does not
-  // affect outcomes — the chaos schedule keys on trace indices, sampling on
-  // per-request seeds, and CLOCK transactions are per device with each
-  // device's batches running in its own ascending order either way. Cycle
-  // *placement* onto the per-device timelines happens afterwards, from the
-  // measured stage costs.
-  for (std::size_t b = 0; b < nb; ++b) {
-    const ShardBatch& sb = plan[b];
-    st.shard_device = sb.sampler;
-    st.shard_fwd_device = sb.forward;
-    st.mem = shard_mems_[std::size_t(sb.sampler)].get();
-    st.fwd_mem = sb.forward != sb.sampler
-                     ? shard_mems_[std::size_t(sb.forward)].get()
-                     : nullptr;
-    StageFault fault;
-    if (!try_group(st, sb.members, GroupMode{}, b, &fault)) {
-      recover_batch(st, b, sb.members, fault);
-    }
-    // Sampler -> forward handoff: the sampled topology (row + col + the
-    // local->global map, 4 B each) and the staged feature rows cross
-    // NVLink when the forward runs elsewhere. Charged once per batch from
-    // the accumulated shape counters, so recovery attempts that re-sampled
-    // the batch push their re-staged bytes too.
-    BatchStats& bs = rep.batches[b];
-    if (sb.forward != sb.sampler) {
-      const std::size_t bytes =
-          (2 * std::size_t(bs.num_edges) + std::size_t(bs.num_vertices)) * 4 +
-          std::size_t(bs.num_unique_vertices) * std::size_t(in_dim_) * 4;
-      const std::uint64_t cyc = std::uint64_t(
-          std::ceil(double(bytes) / dev_.nvlink_bytes_per_cycle));
-      rep.ledger.add("handoff", cyc);
-      bs.handoff_cycles += cyc;
-      bs.handoff_bytes += bytes;
-    }
-  }
-
-  // ---- schedule: per-device serial execution, concurrent devices --------
-  // Commit items in globally nondecreasing start order; each device, when
-  // free, runs the ready item with the smallest batch id (file comment).
-  std::vector<StreamTimeline> tls;
-  tls.reserve(std::size_t(nd));
-  for (int d = 0; d < nd; ++d) tls.emplace_back(kNumServeStreams);
-  std::vector<std::uint64_t> free_at(ndd, 0);
-  std::vector<std::uint64_t> prep_end(nb, 0), sample_start(nb, 0),
-      fwd_end(nb, 0);
-  std::vector<char> prep_done(nb, 0), fwd_done(nb, 0);
-  // Per device: its prep batches (run in batch order) and fwd batches.
-  std::vector<std::vector<std::size_t>> preps(ndd), fwds(ndd);
-  std::vector<std::size_t> next_prep(ndd, 0);
-  for (std::size_t b = 0; b < nb; ++b) {
-    preps[std::size_t(plan[b].sampler)].push_back(b);
-    fwds[std::size_t(plan[b].forward)].push_back(b);
-  }
-
-  std::size_t remaining = 2 * nb;
-  while (remaining > 0) {
-    constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t best_start = kInf;
-    std::size_t best_batch = 0;
-    int best_dev = -1;
-    bool best_is_fwd = false;
-    for (int d = 0; d < nd; ++d) {
-      const std::size_t dd = std::size_t(d);
-      // Candidate 1: the device's next prep (always ready; closed loop).
-      if (next_prep[dd] < preps[dd].size()) {
-        const std::size_t b = preps[dd][next_prep[dd]];
-        const std::uint64_t start = free_at[dd];
-        if (start < best_start ||
-            (start == best_start && b < best_batch)) {
-          best_start = start;
-          best_batch = b;
-          best_dev = d;
-          best_is_fwd = false;
-        }
-      }
-      // Candidate 2: any prepared-but-unforwarded batch assigned here.
-      for (std::size_t b : fwds[dd]) {
-        if (fwd_done[b] || !prep_done[b]) continue;
-        const std::uint64_t start = std::max(free_at[dd], prep_end[b]);
-        if (start < best_start ||
-            (start == best_start &&
-             (b < best_batch || (b == best_batch && !best_is_fwd)))) {
-          best_start = start;
-          best_batch = b;
-          best_dev = d;
-          best_is_fwd = true;
-        }
-      }
-    }
-    const std::size_t b = best_batch;
-    const std::size_t dd = std::size_t(best_dev);
-    const BatchStats& bs = rep.batches[b];
-    if (!best_is_fwd) {
-      // PREP: the sample span (backoff waits ride it, as on the unsharded
-      // timeline) chained into the gather span (outbound handoff rides it).
-      const std::size_t is =
-          tls[dd].place(kSampleStream, int(b), free_at[dd],
-                        bs.sample_cycles + bs.backoff_cycles);
-      const std::size_t ig =
-          tls[dd].place(kGatherStream, int(b), tls[dd].span(is).end,
-                        bs.gather.cycles + bs.handoff_cycles);
-      sample_start[b] = tls[dd].span(is).start;
-      prep_end[b] = tls[dd].span(ig).end;
-      free_at[dd] = prep_end[b];
-      prep_done[b] = 1;
-      ++next_prep[dd];
-    } else {
-      const std::size_t fi = tls[dd].place(
-          kForwardStream, int(b), std::max(free_at[dd], prep_end[b]),
-          bs.forward_cycles);
-      fwd_end[b] = tls[dd].span(fi).end;
-      free_at[dd] = fwd_end[b];
-      fwd_done[b] = 1;
-    }
-    --remaining;
-  }
-  for (StreamTimeline& tl : tls) tl.attribute();
-
-  // ---- fold the schedule into the report --------------------------------
-  for (std::size_t b = 0; b < nb; ++b) {
-    BatchStats& bs = rep.batches[b];
-    bs.cycles = bs.sample_cycles + bs.gather.cycles + bs.forward_cycles +
-                bs.backoff_cycles + bs.handoff_cycles;
-    bs.latency_cycles = fwd_end[b] - sample_start[b];
-    rep.sample_cycles += bs.sample_cycles;
-    rep.gather_cycles += bs.gather.cycles;
-    rep.forward_cycles += bs.forward_cycles;
-    rep.max_batch_cycles = std::max(rep.max_batch_cycles, bs.latency_cycles);
-    rep.cache_hits += bs.gather.hits;
-    rep.cache_misses += bs.gather.misses;
-    rep.cache_evictions += bs.gather.evictions;
-    rep.cache_hit_bytes += bs.gather.hit_bytes;
-    rep.cache_miss_bytes += bs.gather.miss_bytes;
-    rep.cache_insert_bytes += bs.gather.insert_bytes;
-    rep.remote_hits += bs.gather.remote_hits;
-    rep.remote_misses += bs.gather.remote_misses;
-    rep.remote_hit_bytes += bs.gather.remote_hit_bytes;
-    rep.remote_miss_bytes += bs.gather.remote_miss_bytes;
-    rep.handoff_bytes += bs.handoff_bytes;
-    for (std::size_t idx : plan[b].members) {
-      serve::RequestOutcome& o = rep.outcomes[idx];
-      const std::uint64_t arrival = requests[idx].arrival_cycle;
-      o.queue_cycles =
-          sample_start[b] > arrival ? sample_start[b] - arrival : 0;
-      o.service_cycles = fwd_end[b] - sample_start[b];
-    }
-  }
-  rep.serial_cycles = rep.ledger.total();
-
-  rep.devices.resize(std::size_t(nd));
-  for (int d = 0; d < nd; ++d) {
-    const std::size_t dd = std::size_t(d);
-    serve::DeviceShardReport& dr = rep.devices[dd];
-    dr.device = d;
-    dr.role = opts_.shard.role(d);
-    for (std::size_t b : preps[dd]) {
-      const BatchStats& bs = rep.batches[b];
-      ++dr.sampled_batches;
-      dr.sample_cycles += bs.sample_cycles + bs.backoff_cycles;
-      dr.gather_cycles += bs.gather.cycles + bs.handoff_cycles;
-      dr.colocation_cycles += bs.colocation_sample_cycles;
-      dr.hit_bytes += bs.gather.hit_bytes;
-      dr.miss_bytes += bs.gather.miss_bytes;
-      dr.remote_hit_bytes += bs.gather.remote_hit_bytes;
-      dr.remote_miss_bytes += bs.gather.remote_miss_bytes;
-      dr.handoff_bytes += bs.handoff_bytes;
-    }
-    for (std::size_t b : fwds[dd]) {
-      const BatchStats& bs = rep.batches[b];
-      ++dr.forward_batches;
-      dr.forward_cycles += bs.forward_cycles;
-      dr.colocation_cycles += bs.colocation_forward_cycles;
-    }
-    dr.makespan = tls[dd].makespan();
-    for (const StageSpan& span : tls[dd].spans()) {
-      dr.exposed_cycles += span.exposed;
-    }
-    dr.idle_cycles = tls[dd].idle_cycles();
-    dr.peak_bytes = shard_mems_[dd]->peak();
-    dr.cache_bytes = shard_caches_[dd].device_bytes();
-    rep.total_cycles = std::max(rep.total_cycles, dr.makespan);
-    rep.idle_cycles += dr.idle_cycles;
-  }
-
-  // The report-level timeline concatenates the per-device schedules in
-  // device order; spans carry their batch and stream ids. At one shard this
-  // is exactly the unsharded batch-major layout (span 3b + stream).
-  for (const StreamTimeline& tl : tls) {
-    for (const StageSpan& span : tl.spans()) {
-      rep.timeline.push_back(span);
-      StageSplit& split = span.stream == kSampleStream   ? rep.sample_split
-                          : span.stream == kGatherStream ? rep.gather_split
-                                                         : rep.forward_split;
-      split.cycles += span.cycles();
-      split.exposed += span.exposed;
-      split.overlapped += span.overlapped;
-    }
-  }
-  return rep;
-}
-
-}  // namespace gnnone
+}  // namespace gnnone::serve

@@ -21,9 +21,10 @@
 //    contention dedication removes.
 //
 // Every device gets its own DeviceMemory tracker, its own FeatureCache
-// partition, and its own three-stream timeline; Σ exposed + idle ==
-// makespan holds exactly per device, and the run's total is the slowest
-// device's makespan. Predictions stay bit-identical to unsharded serving at
+// partition, and its own three-stream timeline (the one serving executor,
+// server.h, places every device's spans); Σ exposed + idle == makespan
+// holds exactly per device, and the run's total is the slowest device's
+// makespan. Predictions stay bit-identical to unsharded serving at
 // every shard count and role assignment (per-request sampling keys on the
 // trace seed alone; GCN/GAT forwards are component-local — server.h).
 #pragma once
@@ -50,7 +51,7 @@ const char* shard_role_name(ShardRole r);
 
 struct ShardOptions {
   /// Simulated devices the serving tier spans. 0 (the default) disables
-  /// sharding — the single-device driver, bit for bit.
+  /// sharding — one device, bit for bit.
   int num_devices = 0;
   /// roles[d] is device d's role; empty means every device is kSymmetric.
   std::vector<ShardRole> roles;
@@ -131,9 +132,9 @@ struct DeviceShardReport {
   std::size_t remote_miss_bytes = 0;
   /// Sampler->forward handoff traffic pushed from this device (NVLink).
   std::size_t handoff_bytes = 0;
-  /// This device's DeviceMemory high-water mark and its resident pinned
-  /// cache bytes (what in_use() must equal between serves — the per-device
-  /// leak invariant).
+  /// This device's DeviceMemory high-water mark during this serve and its
+  /// resident pinned cache bytes (what in_use() must equal between serves —
+  /// the per-device leak invariant).
   std::size_t peak_bytes = 0;
   std::size_t cache_bytes = 0;
 };

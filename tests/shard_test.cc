@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "gen/datasets.h"
 #include "gen/requests.h"
+#include "serve/invariants.h"
 #include "serve/server.h"
 
 namespace gnnone {
@@ -137,26 +139,245 @@ TEST(ShardValidation, RejectsMalformedShardOptions) {
   EXPECT_NO_THROW(s.Validate());
 }
 
-TEST(ShardValidation, RejectsExclusiveServeOptionCombos) {
+TEST(ShardValidation, RejectsPartitionCacheWithShard) {
+  // Per-(device, tenant) partitions would be a new cache layout; every
+  // other option composes with sharding.
   const Dataset ds = make_dataset("G4");
-  const auto dev = test_device();
-
   ServeOptions o = base_opts();
   o.shard = symmetric(2);
   o.tenants.push_back(serve::TenantSpec{});
   o.tenants.back().slo_cycles = 1'000'000;
-  EXPECT_THROW(InferenceServer(ds, dev, o), std::invalid_argument);
+  EXPECT_NO_THROW(InferenceServer(ds, test_device(), o));
+  o.partition_cache = true;
+  EXPECT_THROW(InferenceServer(ds, test_device(), o), std::invalid_argument);
+}
 
-  o = base_opts();
-  o.shard = symmetric(2);
+// --- composition ---------------------------------------------------------
+
+/// Two gcn tenants with loose deadlines, and an open-loop trace for them.
+std::vector<serve::TenantSpec> two_gcn_tenants() {
+  serve::TenantSpec a;
+  a.name = "a";
+  a.fanouts = {6, 3};
+  a.slo_cycles = 1u << 28;
+  serve::TenantSpec b = a;
+  b.name = "b";
+  b.fanouts = {4, 2};
+  b.slo_cycles = 1u << 29;
+  return {a, b};
+}
+
+std::vector<SeedRequest> two_tenant_trace(const Dataset& ds) {
+  TenantWorkload w0;
+  w0.requests.num_requests = 14;
+  w0.requests.max_seeds = 3;
+  w0.requests.hot_fraction = 0.0;
+  w0.requests.seed = 11;
+  w0.arrivals.mean_interarrival_cycles = 30000.0;
+  w0.arrivals.seed = 5;
+  TenantWorkload w1 = w0;
+  w1.requests.num_requests = 10;
+  w1.requests.seed = 12;
+  w1.arrivals.mean_interarrival_cycles = 60000.0;
+  return make_open_loop_trace(ds.coo, {w0, w1});
+}
+
+std::string joined(const std::vector<std::string>& v) {
+  std::string out;
+  for (const std::string& s : v) out += "\n  " + s;
+  return out;
+}
+
+/// Bit-for-bit equality of everything a one-shard reduction must keep:
+/// ledger entries, the timeline, every outcome (queue/service included) and
+/// the predictions.
+void expect_same_serve(const ServingReport& a, const ServingReport& b) {
+  EXPECT_EQ(a.ledger.entries(), b.ledger.entries());
+  EXPECT_EQ(a.bytes.entries(), b.bytes.entries());
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.idle_cycles, b.idle_cycles);
+  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+    const StageSpan &x = a.timeline[i], &y = b.timeline[i];
+    EXPECT_TRUE(x.batch == y.batch && x.stream == y.stream &&
+                x.start == y.start && x.end == y.end &&
+                x.exposed == y.exposed && x.overlapped == y.overlapped)
+        << "span " << i;
+  }
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t r = 0; r < a.outcomes.size(); ++r) {
+    const serve::RequestOutcome &x = a.outcomes[r], &y = b.outcomes[r];
+    EXPECT_EQ(x.status, y.status) << "request " << r;
+    EXPECT_EQ(x.error, y.error) << "request " << r;
+    EXPECT_EQ(x.truncated_fanouts, y.truncated_fanouts) << "request " << r;
+    EXPECT_EQ(x.trace.size(), y.trace.size()) << "request " << r;
+    EXPECT_EQ(x.queue_cycles, y.queue_cycles) << "request " << r;
+    EXPECT_EQ(x.service_cycles, y.service_cycles) << "request " << r;
+  }
+  EXPECT_EQ(a.predictions, b.predictions);
+}
+
+TEST(ShardComposition, EveryModeComposesWithInvariantsAndPredictions) {
+  // {closed, 2 tenants} x {serial, pipelined} x {unsharded, 4 symmetric,
+  // 2 samplers + 2 forward} x {no chaos, chaos}: the accounting identities
+  // hold everywhere, and gcn predictions equal the unsharded serial serve
+  // of the same traffic and fault schedule.
+  const Dataset ds = make_dataset("G4");
+  const auto dev = test_device();
+  const std::vector<serve::ShardOptions> layouts = {
+      serve::ShardOptions{}, symmetric(4), factored(4, 2)};
+  for (const bool tenants : {false, true}) {
+    const auto reqs = tenants ? two_tenant_trace(ds) : uniform_trace(ds);
+    for (const bool chaos : {false, true}) {
+      ServeOptions o = base_opts();
+      if (tenants) {
+        o.tenants = two_gcn_tenants();
+        o.scheduler.policy = serve::SchedulerPolicy::kEdf;
+      }
+      if (chaos) {
+        o.chaos.oom_rate = 0.1;
+        o.chaos.fetch_rate = 0.15;
+        o.chaos.kernel_rate = 0.1;
+        o.chaos.seed = 5;
+      }
+      const ServingReport ref = InferenceServer(ds, dev, o).serve(reqs);
+      for (const bool pipeline : {false, true}) {
+        for (const serve::ShardOptions& shard : layouts) {
+          ServeOptions c = o;
+          c.pipeline = pipeline;
+          c.shard = shard;
+          const InferenceServer server(ds, dev, c);
+          const ServingReport rep = server.serve(reqs);
+          const std::string at = std::string("tenants=") +
+                                 (tenants ? "2" : "0") +
+                                 " chaos=" + (chaos ? "on" : "off") +
+                                 " pipeline=" + (pipeline ? "on" : "off") +
+                                 " devices=" +
+                                 std::to_string(shard.num_devices) +
+                                 " roles=" + std::to_string(shard.roles.size());
+          EXPECT_TRUE(serve::check_invariants(rep, server).empty())
+              << at << joined(serve::check_invariants(rep, server));
+          EXPECT_EQ(rep.predictions, ref.predictions) << at;
+          EXPECT_EQ(rep.served_requests(), ref.served_requests()) << at;
+          if (chaos) {
+            EXPECT_GT(rep.fault_events, 0) << at;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardComposition, PipelinedSymmetricShardsNeverLoseToSerial) {
+  // Each symmetric device runs the single-device pipeline over its own
+  // batches, so pipelining cannot lengthen any device's makespan.
+  const Dataset ds = make_dataset("G4");
+  const auto reqs = uniform_trace(ds, 48);
+  ServeOptions o = base_opts();
+  o.shard = symmetric(4);
+  const ServingReport serial =
+      InferenceServer(ds, test_device(), o).serve(reqs);
   o.pipeline = true;
-  EXPECT_THROW(InferenceServer(ds, dev, o), std::invalid_argument);
+  const ServingReport piped = InferenceServer(ds, test_device(), o).serve(reqs);
+  ASSERT_EQ(serial.devices.size(), piped.devices.size());
+  for (std::size_t d = 0; d < serial.devices.size(); ++d) {
+    EXPECT_LE(piped.devices[d].makespan, serial.devices[d].makespan) << d;
+  }
+  EXPECT_LT(piped.total_cycles, serial.total_cycles);
+  EXPECT_EQ(piped.ledger.entries(), serial.ledger.entries());
+  EXPECT_EQ(piped.predictions, serial.predictions);
+}
 
-  o = base_opts();
-  o.shard = symmetric(2);
-  gpusim::DeviceMemory mem(dev.device_memory_bytes);
-  o.device_memory = &mem;
-  EXPECT_THROW(InferenceServer(ds, dev, o), std::invalid_argument);
+TEST(ShardComposition, InvariantCheckFlagsEachBrokenIdentity) {
+  const Dataset ds = make_dataset("G4");
+  ServeOptions o = base_opts();
+  o.shard = factored(4, 2);
+  o.tenants = two_gcn_tenants();
+  const InferenceServer server(ds, test_device(), o);
+  const ServingReport rep = server.serve(two_tenant_trace(ds));
+  ASSERT_TRUE(serve::check_invariants(rep, server).empty());
+
+  const auto violations = [&](void (*tamper)(ServingReport&)) {
+    ServingReport r = rep;
+    tamper(r);
+    return serve::check_invariants(r, server).size();
+  };
+  // Timeline tiling, byte conservation, cycle conservation, outcome tiling.
+  EXPECT_GT(violations([](ServingReport& r) { r.devices[1].idle_cycles++; }),
+            0u);
+  EXPECT_GT(violations([](ServingReport& r) { r.total_cycles++; }), 0u);
+  EXPECT_GT(violations([](ServingReport& r) { r.remote_hit_bytes += 64; }),
+            0u);
+  EXPECT_GT(violations([](ServingReport& r) { r.batches[0].cycles++; }), 0u);
+  EXPECT_GT(violations([](ServingReport& r) {
+              r.outcomes[0].status = serve::Status::kOom;
+            }),
+            0u);
+  EXPECT_GT(violations([](ServingReport& r) { r.tenants[1].served--; }), 0u);
+}
+
+// --- one-shard reductions ------------------------------------------------
+
+TEST(ShardReduction, OneShardPipelinedIsUnshardedPipelined) {
+  const Dataset ds = make_dataset("G4");
+  const auto reqs = uniform_trace(ds);
+  ServeOptions flat = base_opts();
+  flat.pipeline = true;
+  ServeOptions one = flat;
+  one.shard = symmetric(1, 1.0);
+  const ServingReport ref =
+      InferenceServer(ds, test_device(), flat).serve(reqs);
+  const ServingReport rep =
+      InferenceServer(ds, test_device(), one).serve(reqs);
+  EXPECT_GT(ref.sample_split.overlapped + ref.gather_split.overlapped, 0u);
+  expect_same_serve(rep, ref);
+}
+
+TEST(ShardReduction, OneShardScheduledIsUnshardedScheduled) {
+  const Dataset ds = make_dataset("G4");
+  const auto reqs = two_tenant_trace(ds);
+  for (const bool pipeline : {false, true}) {
+    ServeOptions flat = base_opts();
+    flat.tenants = two_gcn_tenants();
+    flat.scheduler.policy = serve::SchedulerPolicy::kSlack;
+    flat.pipeline = pipeline;
+    ServeOptions one = flat;
+    one.shard = symmetric(1, 1.0);
+    const ServingReport ref =
+        InferenceServer(ds, test_device(), flat).serve(reqs);
+    const ServingReport rep =
+        InferenceServer(ds, test_device(), one).serve(reqs);
+    ASSERT_EQ(rep.tenants.size(), ref.tenants.size());
+    for (std::size_t t = 0; t < ref.tenants.size(); ++t) {
+      EXPECT_EQ(rep.tenants[t].p99_latency_cycles,
+                ref.tenants[t].p99_latency_cycles);
+    }
+    expect_same_serve(rep, ref);
+  }
+}
+
+TEST(ShardReduction, OneShardOnExternalTrackerIsUnsharded) {
+  const Dataset ds = make_dataset("G4");
+  const auto dev = test_device();
+  const auto reqs = uniform_trace(ds);
+  gpusim::DeviceMemory flat_mem(dev.device_memory_bytes);
+  gpusim::DeviceMemory one_mem(dev.device_memory_bytes);
+  ServeOptions flat = base_opts();
+  flat.device_memory = &flat_mem;
+  ServeOptions one = flat;
+  one.device_memory = &one_mem;
+  one.shard = symmetric(1, 1.0);
+  const InferenceServer flat_server(ds, dev, flat);
+  const InferenceServer one_server(ds, dev, one);
+  const ServingReport ref = flat_server.serve(reqs);
+  const ServingReport rep = one_server.serve(reqs);
+  expect_same_serve(rep, ref);
+  // The external tracker is device 0's: afterwards it holds exactly the
+  // pinned cache bytes, the same bytes the unsharded server pins.
+  EXPECT_EQ(&one_server.shard_memory(0), &one_mem);
+  EXPECT_EQ(one_mem.in_use(), one_server.shard_cache(0).device_bytes());
+  EXPECT_EQ(one_mem.in_use(), flat_mem.in_use());
+  EXPECT_EQ(rep.devices[0].peak_bytes, flat_mem.peak());
 }
 
 // --- prediction invariance -----------------------------------------------
@@ -422,6 +643,36 @@ TEST(ShardMemory, PerDeviceTrackersLeakNothingAcrossServes) {
         << "device " << d;
     EXPECT_EQ(first.devices[std::size_t(d)].peak_bytes,
               second.devices[std::size_t(d)].peak_bytes);
+  }
+}
+
+TEST(ShardMemory, PeakBytesArePerServe) {
+  // Each serve reports its own high-water mark: after a large serve, a
+  // one-request serve must report what a fresh server's identical serve
+  // does, not the earlier serve's peak.
+  const Dataset ds = make_dataset("G4");
+  const auto dev = test_device();
+  ServeOptions o = base_opts();
+  o.batch_size = 8;
+  o.fanouts = {10, 5};
+  o.feature_dim_override = 32;
+  o.seed = 1;
+  o.shard = symmetric(2);
+  RequestTraceOptions ro;
+  ro.num_requests = 96;
+  ro.seed = 5;
+  const auto trace = make_request_trace(ds.coo, ro);
+  const std::vector<SeedRequest> first = {trace.front()};
+
+  const InferenceServer used(ds, dev, o);
+  const ServingReport big = used.serve(trace);
+  const ServingReport after = used.serve(first);
+  const ServingReport fresh = InferenceServer(ds, dev, o).serve(first);
+  ASSERT_EQ(after.devices.size(), 2u);
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(after.devices[d].peak_bytes, fresh.devices[d].peak_bytes)
+        << "device " << d;
+    EXPECT_GE(big.devices[d].peak_bytes, after.devices[d].peak_bytes);
   }
 }
 
